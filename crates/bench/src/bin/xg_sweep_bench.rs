@@ -16,13 +16,6 @@
 //!   scheduler operation counters, top event types) so the repo carries a
 //!   reviewable perf trajectory.
 //!
-//! It then measures *intra-run* parallelism — ONE simulation partitioned
-//! across home-bank/hierarchy/CPU shards on the time-window executor —
-//! at `threads=1` vs `threads=W`, asserts the two runs are byte-identical
-//! (report and deterministic `par.*` counters), and records the result in
-//! an `intra_run` section: partition shape, window/cross-shard counters
-//! (drift-gated), and wall-clock speedup (informational).
-//!
 //! ```text
 //! cargo run --release -p xg-bench --bin xg-sweep-bench -- --out BENCH_sweep.json
 //! cargo run --release -p xg-bench --bin xg-sweep-bench -- --jobs 8
@@ -30,8 +23,8 @@
 //! ```
 //!
 //! `--check` regenerates the numbers and compares the *machine-independent*
-//! fields (`shards`, `ops_per_shard`, everything under `profile` and
-//! `intra_run`) against the committed file instead of overwriting it.
+//! fields (`shards`, `ops_per_shard`, everything under `profile`) against
+//! the committed file instead of overwriting it.
 //! Drift beyond 20% on any field fails with a per-key diff and a
 //! regeneration hint, so CI catches when a code change silently changes
 //! how much work the sweep does. Wall-clock fields — every `*_ns`/`*_ms`
@@ -85,99 +78,14 @@ fn run_once(shards: &[(SystemConfig, u64)], jobs: usize) -> (Report, f64) {
 }
 
 /// The deterministic profile subset: everything except sampled wall clock
-/// — `host_ns.*` attribution and any other `*_ns` counter (e.g. the
-/// partitioned executor's `par.barrier_wait_ns`) — which legitimately
-/// varies run to run and machine to machine.
+/// — `host_ns.*` attribution and any other `*_ns` counter — which
+/// legitimately varies run to run and machine to machine.
 fn deterministic_profile(report: &Report) -> Vec<(String, u64)> {
     report
         .profile_entries()
         .filter(|(k, _)| !k.starts_with("host_ns.") && !k.ends_with("_ns"))
         .map(|(k, v)| (k.to_owned(), v))
         .collect()
-}
-
-/// Ops for the intra-run measurement: one simulation, so it needs to be
-/// long enough that per-window barrier costs amortize.
-const INTRA_OPS: u64 = 6_000;
-/// Home banks for the intra-run partition (banks + hierarchies + CPU
-/// pairs = the shard count the executor can spread across workers).
-const INTRA_BANKS: usize = 4;
-
-/// Runs the representative guarded config ONCE on the partitioned
-/// executor with `threads` workers, returning the profiled report and
-/// wall-clock milliseconds.
-fn run_intra(threads: usize) -> (Report, f64) {
-    let cfg = SystemConfig {
-        home_banks: INTRA_BANKS,
-        threads,
-        seed: 21,
-        ..SystemConfig::default()
-    };
-    let t0 = Instant::now();
-    let out = run_stress_with(
-        &cfg,
-        &StressOpts {
-            ops: INTRA_OPS,
-            ..StressOpts::default()
-        },
-        &Instrumentation::profiled(),
-    );
-    let wall = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(
-        !out.deadlocked && out.data_errors == 0,
-        "intra-run bench config must run clean (threads={threads})"
-    );
-    (out.report, wall)
-}
-
-/// Measures intra-run scaling at `threads=1` vs `threads=workers`, gates
-/// byte-identity, and renders the `intra_run` section. Deterministic
-/// partition counters (shards, windows, delta, cross-shard messages) are
-/// drift-gated; `*_ms` wall clock and the derived speedup are not.
-fn intra_run_section(workers: usize) -> JsonValue {
-    let (oracle, serial_ms) = run_intra(1);
-    let (parallel, parallel_ms) = run_intra(workers);
-    assert_eq!(
-        oracle.without_profile().to_json(),
-        parallel.without_profile().to_json(),
-        "determinism violated: threads=1 and threads={workers} reports differ"
-    );
-    assert_eq!(
-        deterministic_profile(&oracle),
-        deterministic_profile(&parallel),
-        "determinism violated: threads=1 and threads={workers} par counters differ"
-    );
-    let speedup_milli = (serial_ms / parallel_ms.max(1e-9) * 1e3) as u64;
-    let mut section = BTreeMap::new();
-    section.insert("banks".to_owned(), JsonValue::Num(INTRA_BANKS as u64));
-    section.insert("threads".to_owned(), JsonValue::Num(workers as u64));
-    section.insert("ops".to_owned(), JsonValue::Num(INTRA_OPS));
-    section.insert(
-        "shards".to_owned(),
-        JsonValue::Num(oracle.profile_get("par.shards")),
-    );
-    section.insert(
-        "windows".to_owned(),
-        JsonValue::Num(oracle.profile_get("par.windows")),
-    );
-    section.insert(
-        "delta".to_owned(),
-        JsonValue::Num(oracle.profile_get("par.delta")),
-    );
-    section.insert(
-        "xshard_sent".to_owned(),
-        JsonValue::Num(oracle.profile_get("par.xshard.sent")),
-    );
-    section.insert(
-        "serial_wall_ms".to_owned(),
-        JsonValue::Num(serial_ms as u64),
-    );
-    section.insert(
-        "parallel_wall_ms".to_owned(),
-        JsonValue::Num(parallel_ms as u64),
-    );
-    section.insert("speedup_milli".to_owned(), JsonValue::Num(speedup_milli));
-    JsonValue::Obj(section)
 }
 
 /// Builds the committed `profile` section: total dispatches, the
@@ -223,7 +131,6 @@ fn profile_section(report: &Report) -> JsonValue {
 
 /// Renders the whole benchmark result as a (integer-only, deterministic
 /// key order) JSON document.
-#[allow(clippy::too_many_arguments)]
 fn bench_json(
     shards: usize,
     jobs: usize,
@@ -232,7 +139,6 @@ fn bench_json(
     total_ops: u64,
     total_events: u64,
     profile: JsonValue,
-    intra_run: JsonValue,
 ) -> JsonValue {
     let ops_per_sec = |ms: f64| (total_ops as f64 / (ms / 1e3).max(1e-9)) as u64;
     let events_per_sec = |ms: f64| (total_events as f64 / (ms / 1e3).max(1e-9)) as u64;
@@ -277,10 +183,6 @@ fn bench_json(
         "profile".to_owned(),
         JsonValue::Obj(profile.as_obj().cloned().unwrap_or_default()),
     );
-    doc.insert(
-        "intra_run".to_owned(),
-        JsonValue::Obj(intra_run.as_obj().cloned().unwrap_or_default()),
-    );
     JsonValue::Obj(doc)
 }
 
@@ -318,9 +220,6 @@ fn gated_fields(doc: &JsonValue) -> BTreeMap<String, u64> {
     }
     if let Some(profile) = obj.get("profile") {
         flatten("profile", profile, &mut out);
-    }
-    if let Some(intra) = obj.get("intra_run") {
-        flatten("intra_run", intra, &mut out);
     }
     out
 }
@@ -388,20 +287,6 @@ fn main() {
         "determinism violated: jobs=1 and jobs={jobs} profile counters differ"
     );
 
-    // Intra-run scaling: ONE simulation spread across its shard partition.
-    let intra_workers = jobs.clamp(2, 8);
-    eprintln!(
-        "intra-run bench: 1 sim x {INTRA_OPS} ops, {INTRA_BANKS} banks, \
-         threads=1 then threads={intra_workers}"
-    );
-    let intra = intra_run_section(intra_workers);
-    let intra_speedup = intra
-        .as_obj()
-        .and_then(|m| m.get("speedup_milli"))
-        .and_then(JsonValue::as_num)
-        .unwrap_or(0) as f64
-        / 1e3;
-
     let speedup = serial_ms / parallel_ms.max(1e-9);
     let doc = bench_json(
         shards.len(),
@@ -411,7 +296,6 @@ fn main() {
         total_ops,
         serial_report.profile_get("events.total"),
         profile_section(&serial_report),
-        intra,
     );
 
     if check {
@@ -453,7 +337,6 @@ fn main() {
     }
     println!(
         "sweep: serial {serial_ms:.0} ms, jobs={jobs} {parallel_ms:.0} ms, speedup {speedup:.2}x \
-         (merged reports byte-identical); intra-run: threads={intra_workers} speedup \
-         {intra_speedup:.2}x (reports byte-identical); written to {out_path}"
+         (merged reports byte-identical); written to {out_path}"
     );
 }

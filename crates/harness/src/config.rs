@@ -153,14 +153,6 @@ pub struct SystemConfig {
     /// [`xg_mem::BlockAddr::bank`] hash, and every cache and guard routes
     /// each request to the owning bank.
     pub home_banks: usize,
-    /// Worker threads for intra-run parallel execution. `0` — the default
-    /// — runs the untouched single-threaded event loop. `W ≥ 1` partitions
-    /// the system into shards (one per home bank, accelerator hierarchy,
-    /// and CPU core/cache pair) driven by `W` workers under conservative
-    /// time-window barriers; results are byte-identical at any `W` for a
-    /// fixed partition, but differ from the `0` path (per-component RNG
-    /// streams replace the single global stream).
-    pub threads: usize,
 }
 
 impl Default for SystemConfig {
@@ -188,7 +180,6 @@ impl Default for SystemConfig {
             strict_host: false,
             host_faults: FaultSpec::NONE,
             home_banks: 1,
-            threads: 0,
         }
     }
 }
@@ -220,37 +211,26 @@ impl SystemConfig {
         }
     }
 
-    /// [`name`](SystemConfig::name) plus execution-shape qualifiers:
-    /// `@b{M}` for `M > 1` home banks and `@t{W}` for `W ≥ 1` worker
-    /// threads. Identical to `name()` at the defaults, so historical
-    /// golden keys are untouched.
+    /// [`name`](SystemConfig::name) plus `@b{M}` for `M > 1` home banks.
+    /// Identical to `name()` at the default, so historical golden keys are
+    /// untouched.
     pub fn exec_name(&self) -> String {
         let mut out = self.name();
         if self.home_banks > 1 {
             out.push_str(&format!("@b{}", self.home_banks));
         }
-        if self.threads > 0 {
-            out.push_str(&format!("@t{}", self.threads));
-        }
         out
     }
 
-    /// Applies the `XG_BANKS` / `XG_THREADS` environment overrides to this
-    /// config (the CI tier-1 variant hook). Absent or unparsable variables
-    /// leave the corresponding field untouched; `XG_BANKS=0` is clamped
-    /// to 1.
+    /// Applies the `XG_BANKS` environment override to this config (the CI
+    /// tier-1 variant hook). An absent or unparsable variable leaves
+    /// `home_banks` untouched; `XG_BANKS=0` is clamped to 1.
     pub fn apply_env_overrides(mut self) -> Self {
         if let Some(banks) = std::env::var("XG_BANKS")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
         {
             self.home_banks = banks.max(1);
-        }
-        if let Some(threads) = std::env::var("XG_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            self.threads = threads;
         }
         self
     }

@@ -53,6 +53,6 @@ pub use runner::{
     Instrumentation, PerfOutcome, StressOpts, StressOutcome,
 };
 pub use sweep::{available_jobs, resolve_jobs, sweep};
-pub use system::{accel_core_count, build_system, BuiltSystem, ExecSim, GuardInstance};
+pub use system::{accel_core_count, build_system, BuiltSystem, GuardInstance};
 pub use tester::{SharedTester, TesterCfg, TesterCore, TesterShared};
 pub use workloads::{Pattern, WorkloadCore};

@@ -54,23 +54,11 @@ impl Instrumentation {
     }
 
     fn apply(&self, system: &mut BuiltSystem) {
-        system.sim.set_trace_config(self.trace);
+        system.sim.tracer_mut().set_config(self.trace);
         system.sim.set_profile_config(self.profile);
         if let Some(tl) = self.timeline {
             system.sim.enable_timeline(tl);
         }
-    }
-}
-
-/// Hooks a tester hub into a partitioned run: the done flag switches to
-/// deferred mode and is republished at every window barrier, so every
-/// shard observes "target reached" at the same deterministic window
-/// boundary regardless of worker count. A no-op for serial runs.
-fn attach_tester_barrier(system: &mut BuiltSystem, shared: &SharedTester) {
-    if let Some(par) = system.sim.as_par_mut() {
-        shared.set_deferred(true);
-        let hub = shared.clone();
-        par.add_barrier_hook(Box::new(move || hub.refresh_done()));
     }
 }
 
@@ -145,7 +133,7 @@ fn flag_outstanding(system: &mut crate::system::BuiltSystem, cores: &[xg_sim::No
     }
     for (name, word_addr, is_store) in stuck {
         let op = if is_store { "store" } else { "load" };
-        system.sim.flag_trace(
+        system.sim.tracer_mut().flag(
             now,
             xg_mem::Addr::new(word_addr).block().as_u64(),
             format!("{name}: {op} at word {word_addr:#x} outstanding at deadlock"),
@@ -246,7 +234,6 @@ pub fn run_stress_with(
         ))
     });
     instr.apply(&mut system);
-    attach_tester_barrier(&mut system, &shared);
     system.start_cores();
     let out = system
         .sim
@@ -422,7 +409,6 @@ pub fn run_fuzz_with(
         },
     );
     instr.apply(&mut system);
-    attach_tester_barrier(&mut system, &shared);
     system.start_cores();
     let out = system.sim.run_with_watchdog(50_000_000, 200_000);
     if out.stalled {
@@ -474,9 +460,9 @@ pub struct PerfOutcome {
 /// `pattern` for `accel_ops` accesses while the CPUs run a light streaming
 /// workload that shares the `ProducerConsumer` region.
 pub fn run_workload(cfg: &SystemConfig, pattern: Pattern, accel_ops: u64) -> PerfOutcome {
-    // Accel footprint: 256 words (16 KiB of blocks, bigger than the accel
-    // L1 in the default config → real miss traffic). Shared base for
-    // producer-consumer overlap with CPU cores.
+    // Accel footprint: 2048 words = 256 blocks (16 KiB), exactly the
+    // capacity of the default 64-set × 4-way accel L1, not bigger than it.
+    // Shared base for producer-consumer overlap with CPU cores.
     const BASE: u64 = 0x10_0000;
     const FOOTPRINT: u64 = 2048;
     let mut system = build_system(

@@ -139,11 +139,9 @@ fn assert_sweep_types_are_send() {
     is_send::<crate::FuzzOutcome>();
     is_send::<crate::PerfOutcome>();
     is_send::<crate::BuiltSystem>();
-    is_send::<crate::ExecSim>();
     is_send::<xg_sim::Report>();
     is_send::<xg_sim::RunOutcome>();
     is_send::<xg_sim::Simulator<xg_proto::Message>>();
-    is_send::<xg_sim::ParSim<xg_proto::Message>>();
 }
 
 #[cfg(test)]

@@ -13,9 +13,7 @@ use xg_core::{CrossingGuard, Os, OsPolicy, XgConfig};
 use xg_host_hammer::{HammerCache, HammerConfig, HammerDirectory};
 use xg_host_mesi::{MesiL1, MesiL1Config, MesiL2, MesiL2Config};
 use xg_proto::{HomeMap, Message, Sim, SimBuilder};
-use xg_sim::{
-    Component, Link, NodeId, ParSim, ProfileConfig, Report, RunOutcome, TimelineConfig, TraceConfig,
-};
+use xg_sim::{Component, Link, NodeId};
 
 use crate::config::{AccelOrg, AccelSlot, HostProtocol, SystemConfig};
 use crate::fuzz::{FuzzAccel, FuzzHostCache, FuzzOpts};
@@ -65,161 +63,10 @@ pub struct GuardInstance {
     pub core_indices: Vec<usize>,
 }
 
-/// The executable simulation behind a [`BuiltSystem`]: the classic
-/// single-threaded event loop ([`SystemConfig::threads`] `= 0`, the
-/// default) or the sharded conservative-window executor (`threads ≥ 1`).
-///
-/// Both are fully deterministic, but they are **not** byte-compatible with
-/// each other: the parallel path forces per-component RNG streams, so its
-/// reports differ from serial ones. The parallel guarantee is instead
-/// *worker-count invariance* — for a fixed partition (banks, slots,
-/// cores), any `threads ≥ 1` produces the identical run.
-// One ExecSim exists per built system and lives for the whole run, so the
-// size spread between the two executors is irrelevant; boxing would only
-// add an indirection on every delegated call.
-#[allow(clippy::large_enum_variant)]
-pub enum ExecSim {
-    /// The historical single-threaded simulator (byte-identical goldens).
-    Serial(Sim),
-    /// The partitioned parallel executor.
-    Par(ParSim<Message>),
-}
-
-impl ExecSim {
-    /// Queues `msg` from `from` to `to` through the routed fabric.
-    pub fn post(&mut self, from: NodeId, to: NodeId, msg: Message) {
-        match self {
-            ExecSim::Serial(sim) => sim.post(from, to, msg),
-            ExecSim::Par(par) => par.post(from, to, msg),
-        }
-    }
-
-    /// Schedules a wake-up for `target` after `delay` cycles.
-    pub fn post_wake(&mut self, target: NodeId, delay: u64, token: u64) {
-        match self {
-            ExecSim::Serial(sim) => sim.post_wake(target, delay, token),
-            ExecSim::Par(par) => par.post_wake(target, delay, token),
-        }
-    }
-
-    /// Runs until no events remain or `max_cycles` elapse.
-    pub fn run_to_quiescence(&mut self, max_cycles: u64) -> RunOutcome {
-        match self {
-            ExecSim::Serial(sim) => sim.run_to_quiescence(max_cycles),
-            ExecSim::Par(par) => par.run_to_quiescence(max_cycles),
-        }
-    }
-
-    /// Runs with a progress watchdog (see [`Sim::run_with_watchdog`]).
-    pub fn run_with_watchdog(&mut self, max_cycles: u64, stall_bound: u64) -> RunOutcome {
-        match self {
-            ExecSim::Serial(sim) => sim.run_with_watchdog(max_cycles, stall_bound),
-            ExecSim::Par(par) => par.run_with_watchdog(max_cycles, stall_bound),
-        }
-    }
-
-    /// Collects every component's statistics (parallel runs merge their
-    /// shards in shard order; the key space is identical).
-    pub fn report(&self) -> Report {
-        match self {
-            ExecSim::Serial(sim) => sim.report(),
-            ExecSim::Par(par) => par.report(),
-        }
-    }
-
-    /// The post-mortem dump of flagged addresses, if tracing flagged any.
-    pub fn post_mortem(&self) -> Option<String> {
-        match self {
-            ExecSim::Serial(sim) => sim.post_mortem(),
-            ExecSim::Par(par) => par.post_mortem(),
-        }
-    }
-
-    /// The recorded transaction timeline. Parallel runs do not record
-    /// timelines (per-shard timelines would interleave nondeterministically
-    /// in wall-clock), so `Par` always returns `None`.
-    pub fn timeline_json(&self) -> Option<String> {
-        match self {
-            ExecSim::Serial(sim) => sim.timeline_json(),
-            ExecSim::Par(_) => None,
-        }
-    }
-
-    /// Borrows the component at `id` as a concrete type.
-    pub fn get<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        match self {
-            ExecSim::Serial(sim) => sim.get(id),
-            ExecSim::Par(par) => par.get(id),
-        }
-    }
-
-    /// Mutably borrows the component at `id` as a concrete type.
-    pub fn get_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
-        match self {
-            ExecSim::Serial(sim) => sim.get_mut(id),
-            ExecSim::Par(par) => par.get_mut(id),
-        }
-    }
-
-    /// Applies a trace configuration (every shard, for parallel runs).
-    pub fn set_trace_config(&mut self, config: TraceConfig) {
-        match self {
-            ExecSim::Serial(sim) => sim.tracer_mut().set_config(config),
-            ExecSim::Par(par) => {
-                for shard in par.shards_mut() {
-                    shard.tracer_mut().set_config(config);
-                }
-            }
-        }
-    }
-
-    /// Applies a profile configuration (every shard, for parallel runs).
-    pub fn set_profile_config(&mut self, config: ProfileConfig) {
-        match self {
-            ExecSim::Serial(sim) => sim.profiler_mut().set_config(config),
-            ExecSim::Par(par) => {
-                for shard in par.shards_mut() {
-                    shard.profiler_mut().set_config(config);
-                }
-            }
-        }
-    }
-
-    /// Enables transaction-timeline recording. A no-op for parallel runs
-    /// (see [`timeline_json`](ExecSim::timeline_json)).
-    pub fn enable_timeline(&mut self, config: TimelineConfig) {
-        match self {
-            ExecSim::Serial(sim) => sim.enable_timeline(config),
-            ExecSim::Par(_) => {}
-        }
-    }
-
-    /// Flags `block` in the trace ring for the post-mortem dump (every
-    /// shard, for parallel runs — the dump merges shard sections).
-    pub fn flag_trace(&mut self, now: u64, block: u64, note: String) {
-        match self {
-            ExecSim::Serial(sim) => sim.tracer_mut().flag(now, block, note),
-            ExecSim::Par(par) => {
-                for shard in par.shards_mut() {
-                    shard.tracer_mut().flag(now, block, note.clone());
-                }
-            }
-        }
-    }
-
-    /// The parallel executor, when running partitioned.
-    pub fn as_par_mut(&mut self) -> Option<&mut ParSim<Message>> {
-        match self {
-            ExecSim::Serial(_) => None,
-            ExecSim::Par(par) => Some(par),
-        }
-    }
-}
-
 /// A fully wired system ready to run.
 pub struct BuiltSystem {
-    /// The simulator (serial or partitioned-parallel; see [`ExecSim`]).
-    pub sim: ExecSim,
+    /// The simulator.
+    pub sim: Sim,
     /// CPU core nodes (from the factory).
     pub cpu_cores: Vec<NodeId>,
     /// CPU cache nodes.
@@ -328,7 +175,7 @@ pub fn build_system(
     // list (one host-protocol identity per hierarchy) is known before any
     // accelerator node exists.
     let mut next_free = n + m + 1;
-    let mut plans: Vec<(NodeId, AccelInfra, usize)> = Vec::new();
+    let mut plans: Vec<(NodeId, AccelInfra)> = Vec::new();
     for slot in &slots {
         let start = next_free;
         let (host_peer, infra, size) = match &slot.org {
@@ -364,7 +211,7 @@ pub fn build_system(
                 (fz, AccelInfra::FuzzHost { fuzzer: fz }, 1)
             }
         };
-        plans.push((host_peer, infra, size));
+        plans.push((host_peer, infra));
         next_free += size;
     }
 
@@ -377,7 +224,7 @@ pub fn build_system(
     match cfg.host {
         HostProtocol::Hammer => {
             let mut peers = cpu_caches.clone();
-            peers.extend(plans.iter().map(|(peer, _, _)| *peer));
+            peers.extend(plans.iter().map(|(peer, _)| *peer));
             for (bank, &home) in homes.iter().enumerate() {
                 let name = if m == 1 {
                     "dir".to_string()
@@ -438,7 +285,7 @@ pub fn build_system(
     };
 
     let mut instances: Vec<GuardInstance> = Vec::new();
-    for (k, (slot, (host_peer, infra, _))) in slots.iter().zip(&plans).enumerate() {
+    for (k, (slot, (host_peer, infra))) in slots.iter().zip(&plans).enumerate() {
         // Instance 0 keeps the historical names so single-accelerator
         // reports stay byte-identical; later instances get `a{k}_`.
         let prefix = if k == 0 {
@@ -612,7 +459,7 @@ pub fn build_system(
                         .iter()
                         .enumerate()
                         .filter(|&(j, _)| j != k)
-                        .map(|(_, (peer, _, _))| *peer),
+                        .map(|(_, (peer, _))| *peer),
                 );
                 let name = format!("{prefix}fuzz_host");
                 let fz = b.add(Box::new(FuzzHostCache::new(
@@ -667,34 +514,8 @@ pub fn build_system(
 
     b.default_link(Link::unordered(cfg.host_link.0, cfg.host_link.1));
 
-    // ---- shard plan, mirroring the id layout above ----
-    // Bank b → shard b; the OS rides with bank 0; accelerator slot k's
-    // whole node block (guard, caches, fuzzer, cores) → shard m+k; CPU
-    // core/cache pair i → shard m+num_slots+i. Every 1-cycle core↔cache
-    // and intra-hierarchy link stays shard-local, so the conservative
-    // window δ is set by the (slower) cross-fabric links.
-    let num_slots = slots.len();
-    let cpu_shard = |i: usize| (m + num_slots + i) as u32;
-    let mut shard_plan: Vec<u32> = Vec::new();
-    shard_plan.extend((0..n).map(cpu_shard)); // CPU caches
-    shard_plan.extend((0..m).map(|bank| bank as u32)); // home banks
-    shard_plan.push(0); // OS
-    for (k, (_, _, size)) in plans.iter().enumerate() {
-        shard_plan.extend(std::iter::repeat_n((m + k) as u32, *size));
-    }
-    shard_plan.extend((0..n).map(cpu_shard)); // CPU cores
-    for (k, inst) in instances.iter().enumerate() {
-        shard_plan.extend(std::iter::repeat_n((m + k) as u32, inst.cores.len()));
-    }
-
-    let sim = if cfg.threads == 0 {
-        ExecSim::Serial(b.build())
-    } else {
-        ExecSim::Par(ParSim::new(b, shard_plan, cfg.threads))
-    };
-
     BuiltSystem {
-        sim,
+        sim: b.build(),
         cpu_cores,
         cpu_caches,
         accel_cores,

@@ -27,17 +27,16 @@ use xg_sim::{Component, NodeId, Report};
 
 /// Handle to the state shared by every tester core in one run.
 ///
-/// A `Mutex` (not `RefCell`) so tester cores — and the systems containing
-/// them — are [`Send`] and whole simulations can be fanned across worker
-/// threads by [`crate::sweep`]. Within one simulation the lock is always
-/// uncontended (the simulator is single-threaded), so it costs a few
-/// nanoseconds per operation — but the polling wake loop runs hundreds of
-/// times per completed operation, so its done-check reads a lock-free
-/// mirror ([`TesterHub::done_fast`]) instead of taking even an uncontended
-/// lock.
+/// A `Mutex` (not `RefCell`) only so tester cores — and the systems
+/// containing them — are [`Send`] and whole simulations can be fanned
+/// across worker threads by [`crate::sweep`]. Every simulation runs on one
+/// thread, so the lock is never contended and costs a few nanoseconds per
+/// operation — but the polling wake loop runs hundreds of times per
+/// completed operation, so its done-check reads a lock-free mirror
+/// ([`TesterHub::done_fast`]) instead of taking even an uncontended lock.
 pub type SharedTester = Arc<TesterHub>;
 
-/// [`TesterShared`] behind its lock, plus hot-path mirrors of the fields
+/// [`TesterShared`] behind its lock, plus a hot-path mirror of the field
 /// the per-wake polling loop reads.
 ///
 /// Derefs to the inner `Mutex`, so `shared.lock().unwrap()` keeps working
@@ -49,16 +48,6 @@ pub struct TesterHub {
     /// that bumps `completed` (and therefore exact, not approximate —
     /// `target_ops` is fixed at construction).
     done: AtomicBool,
-    /// Deferred-publication mode for partitioned ([`xg_sim::ParSim`]) runs:
-    /// when set, reaching the operation target latches `pending_done`
-    /// instead of flipping `done` immediately, and the mirror only advances
-    /// at [`refresh_done`](TesterHub::refresh_done) — which the parallel
-    /// executor calls from a window-barrier hook. Cores on every shard then
-    /// observe the flip at the same deterministic window boundary, so which
-    /// operations are issued never depends on worker scheduling.
-    deferred: AtomicBool,
-    /// Latched completion, waiting for the next barrier (deferred mode).
-    pending_done: AtomicBool,
 }
 
 impl TesterHub {
@@ -68,29 +57,10 @@ impl TesterHub {
         self.done.load(Ordering::Relaxed)
     }
 
-    /// Switches the done mirror to deferred (barrier-published) mode; see
-    /// the field docs. Call before the run starts.
-    pub fn set_deferred(&self, on: bool) {
-        self.deferred.store(on, Ordering::Relaxed);
-    }
-
-    /// Publishes a latched completion to the fast mirror. In deferred mode
-    /// the parallel executor calls this from its window-barrier hook; a
-    /// no-op until the operation target has been reached.
-    pub fn refresh_done(&self) {
-        if self.pending_done.load(Ordering::Relaxed) {
-            self.done.store(true, Ordering::Relaxed);
-        }
-    }
-
     /// Refreshes the lock-free done mirror; call after bumping `completed`.
     fn publish_done(&self, done: bool) {
         if done {
-            if self.deferred.load(Ordering::Relaxed) {
-                self.pending_done.store(true, Ordering::Relaxed);
-            } else {
-                self.done.store(true, Ordering::Relaxed);
-            }
+            self.done.store(true, Ordering::Relaxed);
         }
     }
 }
@@ -138,8 +108,6 @@ impl TesterShared {
                 last_seen: HashMap::new(),
             }),
             done: AtomicBool::new(target_ops == 0),
-            deferred: AtomicBool::new(false),
-            pending_done: AtomicBool::new(false),
         })
     }
 

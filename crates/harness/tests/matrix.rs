@@ -16,9 +16,9 @@ fn stress_opts(ops: u64) -> StressOpts {
 
 #[test]
 fn stress_all_twelve_configurations() {
-    // `XG_BANKS` / `XG_THREADS` let CI re-run this clean-stress gate on a
-    // banked and/or partitioned execution shape; the assertions below are
-    // behavioral (no byte-compare), so any shape must pass them.
+    // `XG_BANKS` lets CI re-run this clean-stress gate on a banked home;
+    // the assertions below are behavioral (no byte-compare), so any bank
+    // count must pass them.
     for cfg in SystemConfig::matrix(7) {
         let cfg = cfg.apply_env_overrides();
         let name = cfg.exec_name();
@@ -46,6 +46,26 @@ fn stress_all_twelve_configurations() {
             "{name}: spurious guard errors"
         );
         assert!(out.transitions > 10, "{name}: no coverage collected");
+    }
+}
+
+#[test]
+fn banked_homes_stay_clean() {
+    // Independent of `XG_BANKS`: both host protocols with more than one
+    // home bank, held to the same §4.1 gates as the single-home matrix.
+    for (host, banks) in [(HostProtocol::Hammer, 2), (HostProtocol::Mesi, 3)] {
+        let cfg = SystemConfig {
+            host,
+            home_banks: banks,
+            seed: 77,
+            ..SystemConfig::default()
+        };
+        let name = cfg.exec_name();
+        let out = run_stress(&cfg, &stress_opts(400));
+        assert!(!out.deadlocked, "{name}: deadlocked");
+        assert_eq!(out.data_errors, 0, "{name}: {:?}", out.error_log);
+        assert_eq!(out.report.sum_suffix(".protocol_violation"), 0, "{name}");
+        assert_eq!(out.report.get("os.errors_total"), 0, "{name}");
     }
 }
 

@@ -1,8 +1,8 @@
 //! # xg-prof — kernel profiling and transaction timelines
 //!
 //! Observability primitives for the Crossing Guard simulation kernel,
-//! answering the two questions ROADMAP items 1 and 2 (kernel overhaul,
-//! intra-run parallelism) will be judged by:
+//! answering the two questions every kernel performance change is judged
+//! by:
 //!
 //! * **Where does the events/sec budget go?** — [`Profiler`] keeps
 //!   per-component / per-event-class dispatch counters, coarse sampled

@@ -23,9 +23,8 @@
 /// XORed into the run seed, and scrambled once with the SplitMix64
 /// finalizer, so nearby run seeds and similarly named components still get
 /// unrelated streams. Crucially the derived seed depends only on the pair —
-/// adding or removing *other* components cannot perturb this stream, which
-/// is the partition-invariance property the parallel simulator's
-/// determinism argument rests on.
+/// adding or removing *other* components, or registering them in another
+/// order, cannot perturb this stream.
 pub fn stream_seed(seed: u64, label: &str) -> u64 {
     // FNV-1a (64-bit) over the label bytes.
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;

@@ -58,7 +58,6 @@ mod event;
 mod hist;
 mod json;
 mod link;
-pub mod par;
 pub mod queue;
 mod report;
 mod simulator;
@@ -82,7 +81,6 @@ pub fn trace_enabled() -> bool {
 pub use hist::Histogram;
 pub use json::{JsonError, JsonValue};
 pub use link::{FaultSpec, Link};
-pub use par::ParSim;
 pub use queue::{CalendarQueue, QueueStats};
 pub use report::{CoverageSet, Report, TransitionCoverage};
 pub use simulator::{Ctx, LinkFaultCounts, RunOutcome, SimBuilder, Simulator};

@@ -1,8 +1,6 @@
 //! The simulator proper: builder, event loop, and component context.
 
-use std::any::Any;
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
@@ -146,7 +144,8 @@ impl<M> Ctx<'_, M> {
     }
 
     /// Deterministic simulation RNG. With the default global stream this is
-    /// shared by the whole simulation; with per-component streams (see
+    /// shared by the whole simulation, drawn in event order; with
+    /// per-component streams (the model checker's layout, see
     /// [`crate::SimBuilder::per_component_rng`]) it is this component's own
     /// stream, so one component's draws never perturb another's.
     pub fn rng(&mut self) -> &mut SmallRng {
@@ -275,9 +274,9 @@ impl<M: 'static> SimBuilder<M> {
     /// Switches the simulation from one global RNG stream to one
     /// independent stream per component, each seeded from
     /// `stream_seed(seed, component_name)`. Off by default (the global
-    /// stream keeps historical runs byte-identical); sharded execution
-    /// (see [`crate::par::ParSim`]) forces it on, because a global
-    /// stream's draw order would depend on the partition.
+    /// stream keeps historical runs byte-identical). The model checker
+    /// turns it on so that the order in which it registers components
+    /// cannot perturb latency draws.
     pub fn per_component_rng(&mut self, on: bool) -> &mut Self {
         self.per_component_rng = on;
         self
@@ -367,97 +366,7 @@ impl<M: 'static> SimBuilder<M> {
             faults: LinkFaultCounts::default(),
             profiler: Profiler::new(self.profile),
             event_label: self.event_label,
-            shard_map: None,
-            my_shard: 0,
-            outbox: Vec::new(),
         }
-    }
-
-    /// Splits the builder into one shard-local simulator per shard named in
-    /// `shard_map` (component index → shard id). Every shard carries the
-    /// full name table and link table — so routing decisions and RNG
-    /// seeding agree everywhere — but owns only its own components; foreign
-    /// slots hold panicking [`Foreign`] placeholders. Per-component RNG is
-    /// forced on: a global stream's draw order would depend on the
-    /// partition.
-    ///
-    /// Returns `(shards, shard_map, delta)` where `delta` is the
-    /// conservative window width: the smallest minimum latency over any
-    /// cross-shard directed pair (clamped to ≥ 1). A message sent during
-    /// window `[T, T+delta)` can therefore only arrive at `T+delta` or
-    /// later, which is what makes windows independently executable.
-    pub(crate) fn build_shards(self, shard_map: &[u32]) -> (Vec<Simulator<M>>, Arc<[u32]>, u64) {
-        assert_eq!(
-            shard_map.len(),
-            self.components.len(),
-            "shard map must cover every component"
-        );
-        let shard_count = shard_map
-            .iter()
-            .copied()
-            .max()
-            .map_or(1, |m| m as usize + 1);
-        let names: Vec<String> = self
-            .components
-            .iter()
-            .map(|c| c.name().to_owned())
-            .collect();
-        let n = names.len();
-        let mut links = LinkTable::new(n, self.default_link);
-        let mut delta = u64::MAX;
-        for (&(from, to), &link) in &self.links {
-            links.configure(from, to, link);
-            if shard_map[from.index()] != shard_map[to.index()] {
-                delta = delta.min(link.min_latency().max(1));
-            }
-        }
-        // Unconfigured cross-shard pairs route over the default link, so it
-        // bounds the window too (unless the partition is a single shard).
-        let any_cross = (0..n).any(|i| shard_map[i] != shard_map[0]);
-        if any_cross {
-            delta = delta.min(self.default_link.min_latency().max(1));
-        }
-        if delta == u64::MAX {
-            delta = 1;
-        }
-        let map: Arc<[u32]> = shard_map.into();
-        let mut slots: Vec<Option<Box<dyn Component<M>>>> =
-            self.components.into_iter().map(Some).collect();
-        let shards = (0..shard_count)
-            .map(|s| {
-                let components: Vec<Box<dyn Component<M>>> = (0..n)
-                    .map(|idx| {
-                        if shard_map[idx] as usize == s {
-                            slots[idx].take().expect("component claimed by two shards")
-                        } else {
-                            Box::new(Foreign {
-                                name: names[idx].clone(),
-                            }) as Box<dyn Component<M>>
-                        }
-                    })
-                    .collect();
-                Simulator {
-                    components,
-                    names: names.clone(),
-                    queue: CalendarQueue::new(),
-                    msgs: Slab::new(),
-                    links: links.clone(),
-                    now: Cycle::ZERO,
-                    rng: RngBank::PerComponent(per_component_streams(self.seed, &names)),
-                    progress: 0,
-                    last_progress_at: Cycle::ZERO,
-                    effects: Vec::new(),
-                    tracer: Tracer::new(self.trace),
-                    faults: LinkFaultCounts::default(),
-                    profiler: Profiler::new(self.profile),
-                    event_label: self.event_label,
-                    shard_map: Some(Arc::clone(&map)),
-                    my_shard: s as u32,
-                    outbox: Vec::new(),
-                }
-            })
-            .collect();
-        (shards, map, delta)
     }
 }
 
@@ -482,7 +391,6 @@ struct PairState {
 /// one reset path. Component counts are small (a simulated system is tens
 /// of controllers), so the quadratic table is a few KiB and a route lookup
 /// is one multiply-add instead of a hash.
-#[derive(Clone)]
 struct LinkTable {
     n: usize,
     pairs: Box<[PairState]>,
@@ -566,9 +474,9 @@ fn draw_latency(rng: &mut SmallRng, link: Link) -> u64 {
 /// and stays the default so existing golden reports remain byte-identical.
 /// `PerComponent` gives every component an independent stream seeded from
 /// `stream_seed(run_seed, component_name)`; draw order within a stream
-/// then depends only on that component's own event sequence, which is what
-/// makes sharded execution partition-invariant (and what keeps one
-/// component's draws from perturbing another's in serial runs).
+/// then depends only on that component's own event sequence, so one
+/// component's draws never perturb another's and registration order does
+/// not matter.
 enum RngBank {
     Global(SmallRng),
     /// One stream per registered component, plus a trailing "external"
@@ -607,43 +515,6 @@ fn per_component_streams(seed: u64, names: &[String]) -> Vec<SmallRng> {
     streams
 }
 
-/// A message crossing from this shard to another, captured at the moment
-/// the router resolved its delivery time. The parallel executor drains
-/// these at the window barrier and enqueues them on the owning shard.
-pub(crate) struct Outbound<M> {
-    pub(crate) time: Cycle,
-    pub(crate) from: NodeId,
-    pub(crate) to: NodeId,
-    pub(crate) msg: M,
-}
-
-/// Stand-in occupying a foreign component's slot in a shard-local
-/// simulator. It carries the real component's name — so name tables, trace
-/// labels, and per-component RNG seeding agree across shards — but it is
-/// never dispatched (cross-shard messages leave via the outbox) and
-/// contributes nothing to reports.
-struct Foreign {
-    name: String,
-}
-
-impl<M> Component<M> for Foreign {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn handle(&mut self, from: NodeId, _msg: M, _ctx: &mut Ctx<'_, M>) {
-        panic!(
-            "event from {from} delivered to {} on a shard that does not own it",
-            self.name
-        );
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 /// A deterministic discrete-event simulator over message type `M`.
 ///
 /// See the [crate docs](crate) for the execution model and an example.
@@ -664,14 +535,6 @@ pub struct Simulator<M> {
     faults: LinkFaultCounts,
     profiler: Profiler,
     event_label: Option<fn(&M) -> &'static str>,
-    /// Component → shard assignment when this simulator is one shard of a
-    /// partitioned run (`None` for ordinary whole-system simulators).
-    shard_map: Option<Arc<[u32]>>,
-    /// This simulator's shard id within the partition (0 when unsharded).
-    my_shard: u32,
-    /// Cross-shard messages produced during the current window, drained by
-    /// the parallel executor at the window barrier.
-    outbox: Vec<Outbound<M>>,
 }
 
 impl<M: Clone + 'static> Simulator<M> {
@@ -906,7 +769,7 @@ impl<M: Clone + 'static> Simulator<M> {
         } = self;
         // Latency draws charge the sender's stream: during effect drain the
         // sender is the component whose event was just dispatched, so in
-        // per-component mode its draws stay on its own (shard-local) stream.
+        // per-component mode its draws stay on its own stream.
         let rng = rng.stream(from.index());
         if links.pair_mut(from, to).is_none() {
             // A fabricated endpoint: route statelessly over the default
@@ -969,58 +832,8 @@ impl<M: Clone + 'static> Simulator<M> {
         self.queue.push(time, Pending { target, kind });
     }
 
-    /// Enqueues a routed delivery locally, or diverts it to the outbox when
-    /// this simulator is a shard and `to` lives on another one. Fabricated
-    /// ids stay local so they panic at delivery exactly as documented.
+    /// Enqueues a routed delivery.
     fn deliver(&mut self, time: Cycle, to: NodeId, from: NodeId, msg: SlabId) {
-        if let Some(map) = &self.shard_map {
-            let t = to.index();
-            if t < map.len() && map[t] != self.my_shard {
-                let msg = self.msgs.take(msg);
-                self.outbox.push(Outbound {
-                    time,
-                    from,
-                    to,
-                    msg,
-                });
-                return;
-            }
-        }
-        self.push_event(time, to, EventKind::Deliver { from, msg });
-    }
-
-    /// Processes every pending event strictly before `end`, returning how
-    /// many were processed. The conservative-window executor calls this
-    /// once per shard per window.
-    pub(crate) fn run_window(&mut self, end: Cycle) -> u64 {
-        let mut events = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t >= end {
-                break;
-            }
-            self.step_one();
-            events += 1;
-        }
-        events
-    }
-
-    /// Time of the earliest pending event, if any.
-    pub(crate) fn peek_time(&mut self) -> Option<Cycle> {
-        self.queue.peek_time()
-    }
-
-    /// Drains the cross-shard messages produced since the last drain.
-    /// Their order is this shard's deterministic send order; the executor
-    /// re-sorts merged batches by `(time, source shard, sequence)`.
-    pub(crate) fn take_outbox(&mut self) -> Vec<Outbound<M>> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Enqueues a message handed over from another shard at the window
-    /// barrier. `time` was fixed by the sender's router, so link state and
-    /// randomness were already accounted for on the sending side.
-    pub(crate) fn push_inbound(&mut self, time: Cycle, from: NodeId, to: NodeId, msg: M) {
-        let msg = self.msgs.insert(msg);
         self.push_event(time, to, EventKind::Deliver { from, msg });
     }
 
@@ -1131,6 +944,12 @@ impl<M: Clone + 'static> Simulator<M> {
     /// before the first event is dispatched.
     pub fn profiler_mut(&mut self) -> &mut Profiler {
         &mut self.profiler
+    }
+
+    /// Replaces the kernel-profiling configuration; shorthand for
+    /// `profiler_mut().set_config(config)`.
+    pub fn set_profile_config(&mut self, config: ProfileConfig) {
+        self.profiler.set_config(config);
     }
 
     /// Installs a transaction-timeline recorder and names a track for every

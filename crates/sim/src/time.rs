@@ -89,6 +89,8 @@ mod tests {
         assert_eq!(Cycle::default(), Cycle::ZERO);
     }
 
+    // The underflow check is a `debug_assert!`, compiled out of release.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "underflow")]
     fn subtraction_underflow_panics_in_debug() {
