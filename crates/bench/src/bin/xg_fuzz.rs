@@ -20,7 +20,7 @@
 //! interesting schedules, coverage summary, and repro artifacts are
 //! written there (one subdirectory per configuration). Exit status is `0`
 //! only if every configuration finishes with zero violations, zero data
-//! corruption, and zero deadlocks.
+//! corruption, zero deadlocks, and zero Guarantee-0 grants to the attacker.
 //!
 //! `--minimize PATH` reads an `xg-schedule v1` text file (e.g. a corpus
 //! entry or a failure dumped by `--campaign`), replays it under `--seed`,
@@ -36,11 +36,12 @@ use std::path::{Path, PathBuf};
 use xg_bench::experiments::e2_campaign;
 use xg_bench::Scale;
 use xg_core::XgVariant;
+use xg_harness::campaign::FailureKind::{DataError, Deadlock, Guarantee0, HostViolation};
 use xg_harness::campaign::{
-    minimize, repro_json, repro_test_source, run_schedule, CampaignFailure, CampaignOpts,
-    CampaignOutcome, FailureKind,
+    minimize, repro_json, repro_test_source, run_schedule, run_schedule_with, CampaignFailure,
+    CampaignOpts, CampaignOutcome,
 };
-use xg_harness::{run_campaign, AccelOrg, HostProtocol, Schedule, SystemConfig};
+use xg_harness::{run_campaign, AccelOrg, HostProtocol, Instrumentation, Schedule, SystemConfig};
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).map(|i| {
@@ -114,12 +115,9 @@ fn emit_repro(
     timeline_path: Option<&Path>,
 ) {
     let shrunk = minimize(&failure.schedule, |s| {
-        let out = run_schedule(base, opts, s, failure.seed);
-        match failure.kind {
-            FailureKind::HostViolation => out.host_violations > 0,
-            FailureKind::DataError => out.cpu_data_errors > 0,
-            FailureKind::Deadlock => out.deadlocked,
-        }
+        failure
+            .kind
+            .broken_in(&run_schedule(base, opts, s, failure.seed))
     });
     let minimized = CampaignFailure {
         schedule: shrunk,
@@ -147,15 +145,15 @@ fn emit_repro(
         .map(Path::to_path_buf)
         .or_else(|| out_dir.map(|d| d.join(format!("{name}.trace.json"))));
     if let Some(dest) = trace_dest {
-        // The failure replay inside run_schedule re-runs the failing seed
-        // with ring tracing and timelines on; its trace is the artifact.
-        let replay = run_schedule(base, opts, &minimized.schedule, failure.seed);
+        // Re-run the failing seed traced; its timeline is the artifact.
+        let instr = Instrumentation::replay();
+        let replay = run_schedule_with(base, opts, &minimized.schedule, failure.seed, &instr);
         match replay.timeline {
             Some(trace) => {
                 write_or_die(&dest, &trace);
                 println!("  failure timeline written to {}", dest.display());
             }
-            None => eprintln!("  minimized schedule no longer fails; no timeline recorded"),
+            None => eprintln!("  no timeline recorded"),
         }
     }
 }
@@ -276,13 +274,8 @@ fn minimize_mode(args: &[String], path: &str) -> i32 {
     let opts = e2_campaign::opts(Scale::Quick, seed);
 
     let replay = run_schedule(&base, &opts, &schedule, seed);
-    let kind = if replay.deadlocked {
-        FailureKind::Deadlock
-    } else if replay.cpu_data_errors > 0 {
-        FailureKind::DataError
-    } else if replay.host_violations > 0 {
-        FailureKind::HostViolation
-    } else {
+    let order = [Deadlock, DataError, HostViolation, Guarantee0];
+    let Some(kind) = order.into_iter().find(|k| k.broken_in(&replay)) else {
         eprintln!(
             "{path} does not fail on {} under seed {seed:#x} — nothing to minimize",
             base.name()

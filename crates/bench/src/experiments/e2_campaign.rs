@@ -8,11 +8,14 @@
 //! experiment quantifies what that buys: for every guarded configuration
 //! the guided campaign must fire strictly more distinct `(state, event)`
 //! pairs than the blind E2 fuzzer given *at least* as many messages —
-//! while still producing zero violations, zero data corruption, and zero
-//! deadlocks.
+//! while still producing zero violations, zero data corruption, zero
+//! deadlocks, and zero Guarantee-0 grants to the attacker.
 
 use xg_core::XgVariant;
-use xg_harness::{run_blind, run_campaign, AccelOrg, CampaignOpts, HostProtocol, SystemConfig};
+use xg_harness::campaign::count_failures;
+use xg_harness::{
+    run_blind, run_campaign, AccelOrg, CampaignOpts, FailureKind, HostProtocol, SystemConfig,
+};
 use xg_sim::Report;
 
 use crate::table::Table;
@@ -41,6 +44,8 @@ pub struct Row {
     pub data_errors: u64,
     /// Deadlocked runs across the campaign (must stay 0).
     pub deadlocks: u64,
+    /// Runs that granted the attacker forbidden data (must stay 0).
+    pub guarantee0: u64,
 }
 
 /// The four guarded configurations (E2 group 1).
@@ -79,8 +84,8 @@ pub fn run(scale: Scale, seed: u64) -> (Vec<Row>, Report) {
 /// Runs the comparison on `jobs` workers. Configurations run serially
 /// (each campaign parallelizes its own generation batches); the returned
 /// [`Report`] carries the per-configuration numbers in its `fuzz` section
-/// under `<config>.{budget, guided_pairs, blind_injected, blind_pairs}`
-/// keys.
+/// under `<config>.{budget, guided_pairs, blind_injected, blind_pairs,
+/// campaign_guarantee0}` keys.
 pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
     let mut rows = Vec::new();
     let mut summary = Report::new();
@@ -90,18 +95,13 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
         o.jobs = Some(jobs);
         let guided = run_campaign(&base, &o);
         let blind = run_blind(&base, &o, guided.injected);
-        let (mut violations, mut data_errors, mut deadlocks) = (0u64, 0u64, 0u64);
-        for f in &guided.failures {
-            match f.kind {
-                xg_harness::FailureKind::HostViolation => violations += 1,
-                xg_harness::FailureKind::DataError => data_errors += 1,
-                xg_harness::FailureKind::Deadlock => deadlocks += 1,
-            }
-        }
+        let failed = |kind| count_failures(&guided.failures, kind);
+        let guarantee0 = failed(FailureKind::Guarantee0);
         summary.fuzz_set(format!("{label}.budget"), guided.injected);
         summary.fuzz_set(format!("{label}.guided_pairs"), guided.distinct_pairs());
         summary.fuzz_set(format!("{label}.blind_injected"), blind.injected);
         summary.fuzz_set(format!("{label}.blind_pairs"), blind.distinct_pairs());
+        summary.fuzz_set(format!("{label}.campaign_guarantee0"), guarantee0);
         rows.push(Row {
             config: label,
             runs: guided.runs,
@@ -110,9 +110,10 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
             blind_injected: blind.injected,
             blind_pairs: blind.distinct_pairs(),
             corpus: guided.corpus.len() as u64,
-            violations,
-            data_errors,
-            deadlocks,
+            violations: failed(FailureKind::HostViolation),
+            data_errors: failed(FailureKind::DataError),
+            deadlocks: failed(FailureKind::Deadlock),
+            guarantee0,
         });
     }
     (rows, summary)
@@ -140,6 +141,12 @@ pub fn failures(rows: &[Row]) -> Vec<String> {
             out.push(format!(
                 "E2b {}: {} deadlocked runs under campaign",
                 r.config, r.deadlocks
+            ));
+        }
+        if r.guarantee0 > 0 {
+            out.push(format!(
+                "E2b {}: {} runs granted the attacker forbidden data under campaign",
+                r.config, r.guarantee0
             ));
         }
         if r.guided_pairs <= r.blind_pairs {

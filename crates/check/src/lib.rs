@@ -4,9 +4,10 @@
 //!
 //! The checker exhaustively explores a six-node micro-world — one guard
 //! persona, the modified host controller it fronts, one host CPU cache,
-//! the OS error sink, a scripted chaos accelerator, and a value-checking
-//! probe core — over one or two block addresses plus a read-only window
-//! and a forbidden block. Exploration is breadth-first over *scripts*
+//! the OS error sink, a chaos accelerator, and a value-checking probe
+//! core — over one or two block addresses plus a read-only window
+//! and a forbidden block. The chaos accelerator is the fuzz campaign's
+//! own [`xg_harness::FuzzAccel`], driven one step per wake. Exploration is breadth-first over *scripts*
 //! (stimulus sequences replayed from scratch), with drained states
 //! canonicalized by [`xg_sim::CheckDigest`] and deduplicated, so the
 //! first counterexample found is shortest in stimulus steps.
@@ -47,6 +48,6 @@ pub use script::{
     choice_name, kind_name, CpuOp, Script, Step, ACCEL_KIND_CODES, INV_CHOICE_CODES, MALFORMED_PUTM,
 };
 pub use world::{
-    build_world, ChaosAccel, Persona, ProbeCore, Role, RoleIds, World, WorldSpec, A_VALUE,
-    FORBIDDEN_BLOCK, INV_FILL, STEP_FILL, WINDOW_BLOCK, W_VALUE,
+    build_world, Persona, ProbeCore, Role, RoleIds, World, WorldSpec, A_VALUE, FORBIDDEN_BLOCK,
+    INV_FILL, STEP_FILL, WINDOW_BLOCK, W_VALUE,
 };

@@ -9,15 +9,11 @@
 //! still verified, and counterexamples stay shortest-first.
 
 use xg_core::CrossingGuard;
-use xg_host_hammer::{HammerCache, HammerDirectory};
-use xg_host_mesi::{MesiL1, MesiL2};
+use xg_harness::fuzz::FuzzAccel;
 use xg_sim::CheckDigest;
 
 use crate::script::{Script, Step};
-use crate::world::{
-    build_world, ChaosAccel, Persona, ProbeCore, Role, World, WorldSpec, FORBIDDEN_BLOCK,
-    WINDOW_BLOCK,
-};
+use crate::world::{build_world, ProbeCore, Role, World, WorldSpec, FORBIDDEN_BLOCK, WINDOW_BLOCK};
 
 /// Per-step drain budget in cycles. Generous: the guard's invalidation
 /// timeout (4000 cycles) can fire several times in one drain.
@@ -96,28 +92,20 @@ pub struct ReplayOutcome {
     pub report: xg_sim::Report,
 }
 
-/// Posts the wake(s) for one step onto a drained world.
-pub(crate) fn inject(world: &mut World, step: Step) {
+/// Posts the wake(s) for one step onto a drained world (the chaos
+/// accelerator already holds its steps, in script order).
+fn inject(world: &mut World, step: Step) {
     match step {
-        Step::Accel { kind, addr } => {
-            world
-                .sim
-                .post_wake(world.ids.chaos, 1, ChaosAccel::token(kind, addr));
+        Step::Accel { .. } => {
+            world.sim.post_wake(world.ids.chaos, 1, 0);
         }
         Step::Cpu { op, addr } => {
             world
                 .sim
                 .post_wake(world.ids.probe, 1, ProbeCore::token(op, addr));
         }
-        Step::Race {
-            kind,
-            addr,
-            op,
-            cpu_addr,
-        } => {
-            world
-                .sim
-                .post_wake(world.ids.chaos, 1, ChaosAccel::token(kind, addr));
+        Step::Race { op, cpu_addr, .. } => {
+            world.sim.post_wake(world.ids.chaos, 1, 0);
             world.sim.post_wake(
                 world.ids.probe,
                 RACE_CPU_DELAY,
@@ -129,16 +117,27 @@ pub(crate) fn inject(world: &mut World, step: Step) {
 
 /// Replays `script` against a fresh world for `spec`.
 pub fn replay(spec: &WorldSpec, script: &Script) -> ReplayOutcome {
-    let mut world = build_world(spec, &script.choices);
-    let mut divergence = false;
-    for &step in &script.steps {
-        inject(&mut world, step);
-        if !world.sim.run_to_quiescence(DRAIN_MAX).quiescent {
-            divergence = true;
-            break;
+    let mut world = build_world(spec, script);
+    let divergence = drive(&mut world, script);
+    classify(spec, &world, divergence)
+}
+
+/// Injects `script`'s steps into `world` one at a time, draining after
+/// each. Returns whether a step failed to drain (flagged in the trace).
+pub(crate) fn drive(world: &mut World, script: &Script) -> bool {
+    for (i, &step) in script.steps.iter().enumerate() {
+        inject(world, step);
+        let out = world.sim.run_to_quiescence(DRAIN_MAX);
+        if !out.quiescent {
+            let reason = format!("step {i} diverged");
+            world
+                .sim
+                .tracer_mut()
+                .flag(out.now.as_u64(), u64::MAX, reason);
+            return true;
         }
     }
-    classify(spec, &world, divergence)
+    false
 }
 
 /// Digests and classifies an already-run world.
@@ -152,8 +151,8 @@ pub fn classify(spec: &WorldSpec, world: &World, divergence: bool) -> ReplayOutc
 
     let chaos = world
         .sim
-        .get::<ChaosAccel>(ids.chaos)
-        .expect("chaos node is a ChaosAccel");
+        .get::<FuzzAccel>(ids.chaos)
+        .expect("chaos node is a FuzzAccel");
     let probe = world
         .sim
         .get::<ProbeCore>(ids.probe)
@@ -162,37 +161,9 @@ pub fn classify(spec: &WorldSpec, world: &World, divergence: bool) -> ReplayOutc
         .sim
         .get::<CrossingGuard>(ids.xg)
         .expect("guard node is a CrossingGuard");
-    let os = world
-        .sim
-        .get::<xg_core::Os>(ids.os)
-        .expect("os node is an Os");
-
-    let host_violations = match spec.persona {
-        Persona::Hammer => {
-            world
-                .sim
-                .get::<HammerCache>(ids.cpu_cache)
-                .expect("hammer cpu cache")
-                .protocol_violations()
-                + world
-                    .sim
-                    .get::<HammerDirectory>(ids.home)
-                    .expect("hammer directory")
-                    .protocol_violations()
-        }
-        Persona::Mesi => {
-            world
-                .sim
-                .get::<MesiL1>(ids.cpu_cache)
-                .expect("mesi l1")
-                .protocol_violations()
-                + world
-                    .sim
-                    .get::<MesiL2>(ids.home)
-                    .expect("mesi l2")
-                    .protocol_violations()
-        }
-    };
+    // Host violations and OS errors are read from the report keys the
+    // fuzz runner reads too.
+    let report = world.sim.report();
 
     let guard_window_writable = guard
         .table_entry(xg_mem::BlockAddr::new(WINDOW_BLOCK))
@@ -201,7 +172,7 @@ pub fn classify(spec: &WorldSpec, world: &World, divergence: bool) -> ReplayOutc
     let verdict = Verdict {
         divergence,
         deadlock: !divergence && obligations > 0,
-        host_violations,
+        host_violations: report.sum_suffix(".protocol_violation"),
         forbidden_data: chaos.forbidden_data(),
         ro_exclusive_data: chaos.ro_exclusive_data(),
         guard_tracks_forbidden: guard
@@ -209,7 +180,7 @@ pub fn classify(spec: &WorldSpec, world: &World, divergence: bool) -> ReplayOutc
             .is_some(),
         guard_window_writable,
         cpu_data_errors: probe.data_errors(),
-        os_errors: os.total(),
+        os_errors: report.get("os.errors_total"),
     };
 
     ReplayOutcome {
@@ -217,13 +188,14 @@ pub fn classify(spec: &WorldSpec, world: &World, divergence: bool) -> ReplayOutc
         obligations,
         unscripted_invs: chaos.unscripted_invs(),
         verdict,
-        report: world.sim.report(),
+        report,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::Persona;
 
     #[test]
     fn empty_script_is_clean_for_both_personas() {

@@ -10,19 +10,22 @@
 
 use std::fmt;
 
-/// Number of accelerator step codes: the fuzzer's 13 XGI kind codes plus
+use xg_harness::fuzz::{FUZZ_KIND_CODES, FUZZ_KIND_NAMES, INV_RESPONSE_CODES, INV_RESPONSE_NAMES};
+
+/// Number of accelerator step codes: the fuzzer's XGI kind codes plus
 /// one deliberately malformed two-block `PutM` (the configured block size
 /// is one host block, so the guard must reject it).
-pub const ACCEL_KIND_CODES: u8 = 14;
+pub const ACCEL_KIND_CODES: u8 = FUZZ_KIND_CODES + 1;
 
 /// The malformed step code (two-block `PutM` payload).
-pub const MALFORMED_PUTM: u8 = 13;
+pub const MALFORMED_PUTM: u8 = FUZZ_KIND_CODES;
 
 /// Number of scripted invalidation-choice codes: silence, then the
-/// fuzzer's five response codes.
-pub const INV_CHOICE_CODES: u8 = 6;
+/// fuzzer's response codes.
+pub const INV_CHOICE_CODES: u8 = INV_RESPONSE_CODES + 1;
 
-/// A CPU operation the probe core can issue.
+/// A CPU operation the probe core can issue. `op as u64` is its wire code
+/// (load 0, store 1, flush 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpuOp {
     /// Load the first word of the block.
@@ -215,20 +218,8 @@ impl fmt::Display for Step {
 /// Human-readable name for an accelerator step code.
 pub fn kind_name(kind: u8) -> &'static str {
     match kind % ACCEL_KIND_CODES {
-        0 => "GetS",
-        1 => "GetM",
-        2 => "PutS",
-        3 => "PutE",
-        4 => "PutM",
-        5 => "InvAck",
-        6 => "CleanWb",
-        7 => "DirtyWb",
-        8 => "DataS",
-        9 => "DataE",
-        10 => "DataM",
-        11 => "WbAck",
-        12 => "Inv",
-        _ => "PutM[2-block]",
+        MALFORMED_PUTM => "PutM[2-block]",
+        k => FUZZ_KIND_NAMES[usize::from(k)],
     }
 }
 
@@ -236,11 +227,7 @@ pub fn kind_name(kind: u8) -> &'static str {
 pub fn choice_name(choice: u8) -> &'static str {
     match choice % INV_CHOICE_CODES {
         0 => "silence",
-        1 => "InvAck",
-        2 => "CleanWb",
-        3 => "DirtyWb",
-        4 => "GetM (non-response)",
-        _ => "PutS then DirtyWb (race)",
+        c => INV_RESPONSE_NAMES[usize::from(c - 1)],
     }
 }
 

@@ -1,5 +1,8 @@
 //! The small-model world: one guard persona, one modified host controller,
-//! one host CPU cache, one scripted chaos accelerator, one probe core.
+//! one host CPU cache, one chaos accelerator, one probe core.
+//!
+//! The chaos accelerator is a stepped [`FuzzAccel`] fed by
+//! [`WorldSpec::chaos_schedule`]; each accelerator step is one wake.
 //!
 //! Worlds are rebuilt from scratch for every replay, so all state is
 //! reachable from the [`WorldSpec`] plus a [`crate::Script`]. Two knobs
@@ -13,28 +16,25 @@
 //! digest set closes and exhaustive exploration terminates.
 
 use xg_core::{CrossingGuard, Os, OsPolicy, XgConfig};
+use xg_harness::fuzz::{FuzzAccel, FuzzStep, InvPolicy, Schedule};
 use xg_host_hammer::{HammerCache, HammerConfig, HammerDirectory};
 use xg_host_mesi::{MesiL1, MesiL1Config, MesiL2, MesiL2Config};
-use xg_mem::{BlockAddr, DataBlock, PagePerm, PermissionTable, BLOCK_BYTES};
-use xg_proto::{CoreKind, CoreMsg, Ctx, Message, Sim, SimBuilder, XgData, XgiKind, XgiMsg};
+use xg_mem::{BlockAddr, PagePerm, PermissionTable, BLOCK_BYTES};
+use xg_proto::{CoreKind, CoreMsg, Ctx, Message, Sim, SimBuilder};
 use xg_sim::{CheckDigest, Component, Link, NodeId, Report};
 
-use crate::script::{CpuOp, ACCEL_KIND_CODES, INV_CHOICE_CODES};
+pub use xg_harness::campaign::{CPU_POOL_BLOCK as WINDOW_BLOCK, FORBIDDEN_BLOCK};
+pub use xg_harness::fuzz::{INV_FILL, STEP_FILL};
 
-/// Fill byte for scripted accelerator request payloads.
-pub const STEP_FILL: u8 = 0x11;
-/// Fill byte for scripted invalidation-response payloads.
-pub const INV_FILL: u8 = 0xA5;
+use crate::script::{CpuOp, Script, Step, ACCEL_KIND_CODES, INV_CHOICE_CODES, MALFORMED_PUTM};
+
 /// Value the probe stores to the read-only window word.
 pub const W_VALUE: u64 = 0x51;
 /// Value the probe stores to the first attack word.
 pub const A_VALUE: u64 = 0x52;
 
-/// Block index of the CPU-private read-only window (the fuzz campaign's
-/// CPU pool block): a page the accelerator may read but never write.
-pub const WINDOW_BLOCK: u64 = 0x4_0000;
-/// Block index of the forbidden block: a page with no permissions at all.
-pub const FORBIDDEN_BLOCK: u64 = 0x8_0000;
+/// Fuzz kind code of `PutM`, which the malformed step code also sends.
+const PUTM_CODE: u8 = 4;
 
 /// Which guard persona (and host protocol) the world runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,7 +80,7 @@ pub enum Role {
     Os,
     /// The Crossing Guard instance.
     Guard,
-    /// The scripted chaos accelerator.
+    /// The chaos accelerator (a stepped [`FuzzAccel`]).
     Chaos,
 }
 
@@ -168,6 +168,43 @@ impl WorldSpec {
         t
     }
 
+    /// Translates `script` into the chaos accelerator's stepped schedule:
+    /// each accelerator step (and the accelerator half of each race)
+    /// becomes a one-block step with fill [`STEP_FILL`] at its indexed
+    /// block, except the malformed code, which is a two-block `PutM`.
+    /// Choice 0 is silence; choice `c` is response code `c - 1` with a
+    /// one-block payload.
+    pub fn chaos_schedule(&self, script: &Script) -> Schedule {
+        let blocks = self.accel_blocks();
+        let mut steps = Vec::new();
+        for &step in &script.steps {
+            if let Step::Accel { kind, addr } | Step::Race { kind, addr, .. } = step {
+                let kind = kind % ACCEL_KIND_CODES;
+                let malformed = kind == MALFORMED_PUTM;
+                steps.push(FuzzStep {
+                    delay: 1,
+                    block: blocks[usize::from(addr) % blocks.len()],
+                    kind: if malformed { PUTM_CODE } else { kind },
+                    payload_blocks: 1 + u8::from(malformed),
+                    fill: STEP_FILL,
+                });
+            }
+        }
+        let responses = script
+            .choices
+            .iter()
+            .map(|&choice| {
+                let c = choice % INV_CHOICE_CODES;
+                InvPolicy {
+                    respond: c > 0,
+                    kind: c.saturating_sub(1),
+                    payload_blocks: 1,
+                }
+            })
+            .collect();
+        Schedule { steps, responses }
+    }
+
     /// Registers this spec's address roles on a digest: attack block `i`
     /// gets role `i`, then the window, then the forbidden block.
     pub fn assign_roles(&self, d: &mut CheckDigest, ids: &RoleIds) {
@@ -219,9 +256,9 @@ pub struct World {
     pub ids: RoleIds,
 }
 
-/// Builds the world for `spec` with the given invalidation choices baked
-/// into the chaos accelerator.
-pub fn build_world(spec: &WorldSpec, choices: &[u8]) -> World {
+/// Builds the world for `spec` with `script`'s accelerator steps and
+/// invalidation choices baked into the chaos accelerator.
+pub fn build_world(spec: &WorldSpec, script: &Script) -> World {
     // Plan every id up front from the (permutable) registration order, so
     // constructors can reference peers that are registered after them.
     let pos = |role: Role| {
@@ -306,11 +343,11 @@ pub fn build_world(spec: &WorldSpec, choices: &[u8]) -> World {
                 ids.os,
                 xg_cfg.clone(),
             )),
-            (Role::Chaos, _) => Box::new(ChaosAccel::new(
+            (Role::Chaos, _) => Box::new(FuzzAccel::stepped(
                 "chaos",
                 ids.xg,
-                spec.accel_blocks(),
-                choices.to_vec(),
+                spec.chaos_schedule(script),
+                xg_cfg.perms.clone(),
             )),
         };
         let id = b.add(component);
@@ -326,175 +363,6 @@ pub fn build_world(spec: &WorldSpec, choices: &[u8]) -> World {
     World {
         sim: b.build(),
         ids,
-    }
-}
-
-/// The scripted chaos accelerator: a stateless XGI message injector.
-///
-/// Steps arrive as wake tokens (`kind | addr_idx << 8`) posted by the
-/// replay driver. Host-initiated invalidations consume the scripted choice
-/// list in arrival order; invalidations past the end of the list stay
-/// silent and are counted, so the explorer can lazily branch on them.
-pub struct ChaosAccel {
-    name: String,
-    xg: NodeId,
-    blocks: Vec<u64>,
-    choices: Vec<u8>,
-    consumed: usize,
-    unscripted: u64,
-    forbidden_data: u64,
-    ro_exclusive: u64,
-}
-
-impl ChaosAccel {
-    /// Creates the injector with its scripted invalidation choices.
-    pub fn new(name: impl Into<String>, xg: NodeId, blocks: Vec<u64>, choices: Vec<u8>) -> Self {
-        ChaosAccel {
-            name: name.into(),
-            xg,
-            blocks,
-            choices,
-            consumed: 0,
-            unscripted: 0,
-            forbidden_data: 0,
-            ro_exclusive: 0,
-        }
-    }
-
-    /// Invalidations that arrived past the end of the scripted choice
-    /// list (they stayed silent).
-    pub fn unscripted_invs(&self) -> u64 {
-        self.unscripted
-    }
-
-    /// Data responses received for the forbidden block (must stay zero:
-    /// Guarantee 0a).
-    pub fn forbidden_data(&self) -> u64 {
-        self.forbidden_data
-    }
-
-    /// Exclusive/modified data responses received for the read-only
-    /// window (must stay zero: Guarantee 0b).
-    pub fn ro_exclusive_data(&self) -> u64 {
-        self.ro_exclusive
-    }
-
-    /// Encodes a step as a wake token.
-    pub fn token(kind: u8, addr_idx: u8) -> u64 {
-        u64::from(kind) | (u64::from(addr_idx) << 8)
-    }
-
-    fn payload(blocks: usize) -> XgData {
-        XgData::from_blocks(vec![DataBlock::splat(STEP_FILL); blocks])
-    }
-}
-
-impl Component<Message> for ChaosAccel {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn wake(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        let kind_code = (token & 0xFF) as u8 % ACCEL_KIND_CODES;
-        let addr_idx = ((token >> 8) & 0xFF) as usize % self.blocks.len();
-        let block = BlockAddr::new(self.blocks[addr_idx]);
-        let kind = match kind_code {
-            0 => XgiKind::GetS,
-            1 => XgiKind::GetM,
-            2 => XgiKind::PutS,
-            3 => XgiKind::PutE {
-                data: Self::payload(1),
-            },
-            4 => XgiKind::PutM {
-                data: Self::payload(1),
-            },
-            5 => XgiKind::InvAck,
-            6 => XgiKind::CleanWb {
-                data: Self::payload(1),
-            },
-            7 => XgiKind::DirtyWb {
-                data: Self::payload(1),
-            },
-            8 => XgiKind::DataS {
-                data: Self::payload(1),
-            },
-            9 => XgiKind::DataE {
-                data: Self::payload(1),
-            },
-            10 => XgiKind::DataM {
-                data: Self::payload(1),
-            },
-            11 => XgiKind::WbAck,
-            12 => XgiKind::Inv,
-            // Malformed: a two-block payload in a one-block world.
-            _ => XgiKind::PutM {
-                data: Self::payload(2),
-            },
-        };
-        ctx.send(self.xg, XgiMsg::new(block, kind).into());
-    }
-
-    fn handle(&mut self, _from: NodeId, msg: Message, ctx: &mut Ctx<'_>) {
-        let Message::Xgi(m) = msg else { return };
-        let inv_data = || XgData::single(DataBlock::splat(INV_FILL));
-        match m.kind {
-            XgiKind::Inv => {
-                if self.consumed < self.choices.len() {
-                    let choice = self.choices[self.consumed] % INV_CHOICE_CODES;
-                    self.consumed += 1;
-                    let replies: Vec<XgiKind> = match choice {
-                        0 => vec![],
-                        1 => vec![XgiKind::InvAck],
-                        2 => vec![XgiKind::CleanWb { data: inv_data() }],
-                        3 => vec![XgiKind::DirtyWb { data: inv_data() }],
-                        4 => vec![XgiKind::GetM],
-                        // The Put-vs-Inv race: an eviction already in
-                        // flight when the invalidation arrives.
-                        _ => vec![XgiKind::PutS, XgiKind::DirtyWb { data: inv_data() }],
-                    };
-                    for kind in replies {
-                        ctx.send(self.xg, XgiMsg::new(m.addr, kind).into());
-                    }
-                } else {
-                    self.unscripted += 1;
-                }
-            }
-            XgiKind::DataS { .. } | XgiKind::DataE { .. } | XgiKind::DataM { .. } => {
-                let addr = m.addr.as_u64();
-                if addr == FORBIDDEN_BLOCK {
-                    self.forbidden_data += 1;
-                }
-                if addr == WINDOW_BLOCK && !matches!(m.kind, XgiKind::DataS { .. }) {
-                    self.ro_exclusive += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn check_state(&self, out: &mut CheckDigest) {
-        // The injector holds no protocol state; only the Guarantee-0
-        // counters are digested (nonzero only in violating states, which
-        // the explorer never expands) so a violating state can never alias
-        // a clean one. Choice-consumption bookkeeping is script progress,
-        // not world state, and is deliberately excluded.
-        out.write_str("chaos");
-        out.write_u64(self.forbidden_data);
-        out.write_u64(self.ro_exclusive);
-    }
-
-    fn report(&self, out: &mut Report) {
-        let n = &self.name;
-        out.set(format!("{n}.unscripted_invs"), self.unscripted);
-        out.set(format!("{n}.forbidden_data"), self.forbidden_data);
-        out.set(format!("{n}.ro_exclusive_data"), self.ro_exclusive);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -558,12 +426,7 @@ impl ProbeCore {
 
     /// Encodes a CPU step as a wake token.
     pub fn token(op: CpuOp, addr_idx: u8) -> u64 {
-        let code = match op {
-            CpuOp::Load => 0u64,
-            CpuOp::Store => 1,
-            CpuOp::Flush => 2,
-        };
-        code | (u64::from(addr_idx) << 8)
+        op as u64 | (u64::from(addr_idx) << 8)
     }
 
     fn record_error(&mut self, msg: String) {
@@ -665,11 +528,7 @@ impl Component<Message> for ProbeCore {
         match self.in_flight {
             Some((word, op)) => {
                 out.obligation(1);
-                out.write_u64(match op {
-                    CpuOp::Load => 0,
-                    CpuOp::Store => 1,
-                    CpuOp::Flush => 2,
-                });
+                out.write_u64(op as u64);
                 out.write_addr(word / BLOCK_BYTES);
             }
             None => out.write_str("idle"),
@@ -722,6 +581,31 @@ mod tests {
     }
 
     #[test]
+    fn script_translates_to_a_stepped_schedule() {
+        let spec = WorldSpec::new(Persona::Hammer);
+        // Address index 3 wraps to attack block 0 and code 27 to 13; CPU
+        // steps drop out.
+        let text = "xg-check v1\ns a 1 1\ns c s 0\ns r 0 2 l 1\ns a 27 3\nc 0\nc 1\nc 5\n";
+        let script = Script::from_text(text).unwrap();
+        let sched = spec.chaos_schedule(&script);
+        let steps: Vec<_> = sched.steps.iter().map(|s| (s.block, s.kind)).collect();
+        assert_eq!(
+            steps,
+            [(WINDOW_BLOCK, 1), (FORBIDDEN_BLOCK, 0), (0, PUTM_CODE)]
+        );
+        let payloads: Vec<_> = sched.steps.iter().map(|s| s.payload_blocks).collect();
+        assert_eq!(payloads, [1, 1, 2], "code 13 is a two-block PutM");
+        assert_eq!(crate::script::kind_name(PUTM_CODE), "PutM");
+        assert!(sched.steps.iter().all(|s| s.fill == STEP_FILL));
+        let replies: Vec<_> = sched
+            .responses
+            .iter()
+            .map(|p| (p.respond, p.kind))
+            .collect();
+        assert_eq!(replies, [(false, 0), (true, 0), (true, 4)]);
+    }
+
+    #[test]
     fn build_world_accepts_any_node_order() {
         let mut spec = WorldSpec::new(Persona::Mesi);
         spec.node_order = [
@@ -732,7 +616,7 @@ mod tests {
             Role::CpuCache,
             Role::Probe,
         ];
-        let w = build_world(&spec, &[]);
+        let w = build_world(&spec, &Script::empty());
         assert_eq!(w.ids.chaos, NodeId::from_index(0));
         assert_eq!(w.ids.probe, NodeId::from_index(5));
     }

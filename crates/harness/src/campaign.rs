@@ -35,9 +35,12 @@ use xg_core::XgVariant;
 use xg_sim::{FaultSpec, Report, TransitionCoverage};
 
 use crate::config::{AccelOrg, AccelSlot, HostProtocol, SystemConfig};
-use crate::fuzz::{FuzzOpts, FuzzStep, InvPolicy, Schedule, FUZZ_KIND_CODES, INV_RESPONSE_CODES};
-use crate::runner::{run_fuzz, FuzzOutcome};
+use crate::fuzz::{
+    FuzzOpts, FuzzStep, InvPolicy, Schedule, FUZZ_KIND_CODES, INV_RESPONSE_CODES, STEP_FILL,
+};
+use crate::runner::{run_fuzz_with, FuzzOutcome, Instrumentation};
 use crate::sweep::{resolve_jobs, sweep};
+use FailureKind::{DataError, Deadlock, Guarantee0, HostViolation};
 
 /// First block of the CPU testers' working set (`word_pool(0x100_0000, ..)`
 /// in [`crate::runner`]): the campaign aims reads here to drag host demand
@@ -106,15 +109,31 @@ pub enum FailureKind {
     DataError,
     /// The host stopped making progress.
     Deadlock,
+    /// The attacker received data its page permissions forbid (0a/0b).
+    Guarantee0,
 }
 
 impl FailureKind {
+    /// Every claim, in the order [`run_campaign`] checks them.
+    const ALL: [FailureKind; 4] = [HostViolation, DataError, Deadlock, Guarantee0];
+
+    /// Whether the run `out` broke this claim.
+    pub fn broken_in(self, out: &FuzzOutcome) -> bool {
+        match self {
+            HostViolation => out.host_violations > 0,
+            DataError => out.cpu_data_errors > 0,
+            Deadlock => out.deadlocked,
+            Guarantee0 => out.forbidden_data + out.ro_exclusive_data > 0,
+        }
+    }
+
     /// Short tag for artifact names.
     pub fn tag(self) -> &'static str {
         match self {
-            FailureKind::HostViolation => "violation",
-            FailureKind::DataError => "data_error",
-            FailureKind::Deadlock => "deadlock",
+            HostViolation => "violation",
+            DataError => "data_error",
+            Deadlock => "deadlock",
+            Guarantee0 => "guarantee0",
         }
     }
 }
@@ -201,7 +220,7 @@ pub fn guarantee_probe() -> Schedule {
         block,
         kind,
         payload_blocks: 1,
-        fill: 0x11,
+        fill: STEP_FILL,
     };
     Schedule {
         steps: vec![
@@ -246,7 +265,7 @@ pub fn guarantee_probe() -> Schedule {
 /// Builds the attacked configuration for one campaign run: slot 0 is the
 /// fuzzed organization from `base`, and `opts.num_accels - 1` correct
 /// guarded siblings (same variant, one-level) ride along. Sibling page
-/// tables and tester cores are assigned by [`run_fuzz`].
+/// tables and tester cores are assigned by [`run_fuzz_with`].
 fn attack_config(base: &SystemConfig, opts: &CampaignOpts, seed: u64) -> SystemConfig {
     let mut cfg = base.clone();
     if opts.shrink_caches {
@@ -274,13 +293,25 @@ fn attack_config(base: &SystemConfig, opts: &CampaignOpts, seed: u64) -> SystemC
 
 /// Replays one schedule against `base` (plus the campaign environment:
 /// shrunken caches, link faults, read-only CPU window) under sim seed
-/// `seed`. This is also the reproduction entry point minimized repro tests
-/// call.
+/// `seed`, as one uninstrumented run. This is also the reproduction entry
+/// point minimized repro tests call.
 pub fn run_schedule(
     base: &SystemConfig,
     opts: &CampaignOpts,
     schedule: &Schedule,
     seed: u64,
+) -> FuzzOutcome {
+    run_schedule_with(base, opts, schedule, seed, &Instrumentation::off())
+}
+
+/// [`run_schedule`] with explicit [`Instrumentation`] (e.g.
+/// [`Instrumentation::replay`] for a failure timeline).
+pub fn run_schedule_with(
+    base: &SystemConfig,
+    opts: &CampaignOpts,
+    schedule: &Schedule,
+    seed: u64,
+    instr: &Instrumentation,
 ) -> FuzzOutcome {
     let cfg = attack_config(base, opts, seed);
     let fuzz = FuzzOpts {
@@ -290,7 +321,7 @@ pub fn run_schedule(
         read_only_pages: vec![CPU_POOL_PAGE],
         ..FuzzOpts::default()
     };
-    run_fuzz(&cfg, &fuzz, opts.cpu_ops)
+    run_fuzz_with(&cfg, &fuzz, opts.cpu_ops, instr)
 }
 
 /// Picks a corpus entry with probability proportional to its energy.
@@ -384,28 +415,29 @@ pub fn mutate(rng: &mut SmallRng, parent: &Schedule, other: &Schedule, blocks: &
     child
 }
 
-/// Classifies a run's outcome against the safety claims.
+/// How many of `failures` broke `kind`.
+pub fn count_failures(failures: &[CampaignFailure], kind: FailureKind) -> u64 {
+    failures.iter().filter(|f| f.kind == kind).count() as u64
+}
+
+/// Classifies a run's outcome against the safety claims: the first one
+/// it broke, with a one-line summary.
 fn classify(out: &FuzzOutcome) -> Option<(FailureKind, String)> {
-    if out.host_violations > 0 {
-        return Some((
-            FailureKind::HostViolation,
-            format!("{} host protocol violations", out.host_violations),
-        ));
-    }
-    if out.cpu_data_errors > 0 {
-        return Some((
-            FailureKind::DataError,
-            format!("{} cpu data errors", out.cpu_data_errors),
-        ));
-    }
-    if out.deadlocked {
-        return Some((FailureKind::Deadlock, "host deadlocked".into()));
-    }
-    None
+    let kind = FailureKind::ALL.into_iter().find(|k| k.broken_in(out))?;
+    let summary = match kind {
+        HostViolation => format!("{} host protocol violations", out.host_violations),
+        DataError => format!("{} cpu data errors", out.cpu_data_errors),
+        Deadlock => "host deadlocked".into(),
+        Guarantee0 => format!(
+            "{} grants on unreadable pages (0a), {} exclusive grants on read-only pages (0b)",
+            out.forbidden_data, out.ro_exclusive_data
+        ),
+    };
+    Some((kind, summary))
 }
 
 /// Runs a coverage-guided campaign against `base` (must be a fuzzing
-/// organization; see [`crate::runner::run_fuzz`]).
+/// organization; see [`crate::runner::run_fuzz_with`]).
 ///
 /// Deterministic for a given `(base, opts)` at any worker count: parent
 /// selection happens before a generation is fanned out, and feedback is
@@ -419,7 +451,6 @@ pub fn run_campaign(base: &SystemConfig, opts: &CampaignOpts) -> CampaignOutcome
     let mut report = Report::new();
     let mut failures = Vec::new();
     let (mut runs, mut injected) = (0u64, 0u64);
-    let (mut violations, mut data_errors, mut deadlocks) = (0u64, 0u64, 0u64);
 
     for generation in 0..opts.generations {
         let batch: Vec<(Schedule, u64)> = (0..opts.batch)
@@ -445,11 +476,6 @@ pub fn run_campaign(base: &SystemConfig, opts: &CampaignOpts) -> CampaignOutcome
             runs += 1;
             injected += out.injected;
             if let Some((kind, summary)) = classify(&out) {
-                match kind {
-                    FailureKind::HostViolation => violations += 1,
-                    FailureKind::DataError => data_errors += 1,
-                    FailureKind::Deadlock => deadlocks += 1,
-                }
                 failures.push(CampaignFailure {
                     kind,
                     seed,
@@ -480,9 +506,13 @@ pub fn run_campaign(base: &SystemConfig, opts: &CampaignOpts) -> CampaignOutcome
     report.fuzz_set("campaign_injected", injected);
     report.fuzz_set("campaign_distinct_pairs", distinct_pairs(&coverage));
     report.fuzz_set("campaign_corpus", corpus.len() as u64);
-    report.fuzz_set("campaign_violations", violations);
-    report.fuzz_set("campaign_data_errors", data_errors);
-    report.fuzz_set("campaign_deadlocks", deadlocks);
+    report.fuzz_set(
+        "campaign_violations",
+        count_failures(&failures, HostViolation),
+    );
+    report.fuzz_set("campaign_data_errors", count_failures(&failures, DataError));
+    report.fuzz_set("campaign_deadlocks", count_failures(&failures, Deadlock));
+    report.fuzz_set("campaign_guarantee0", count_failures(&failures, Guarantee0));
     CampaignOutcome {
         runs,
         injected,
@@ -512,7 +542,8 @@ impl BlindOutcome {
 /// Runs the blind E2 fuzzer — independent random draws, default caches, no
 /// link faults, no read-only window — split over the same number of runs a
 /// campaign would make, at a total message budget of *at least* `budget`
-/// (rounded up, so the comparison never short-changes the baseline).
+/// (rounded up, so the comparison never short-changes the baseline). Each
+/// run is one uninstrumented simulation.
 pub fn run_blind(base: &SystemConfig, opts: &CampaignOpts, budget: u64) -> BlindOutcome {
     let runs = (opts.generations * opts.batch).max(1) as u64;
     let per_run = budget.div_ceil(runs).max(1);
@@ -526,7 +557,7 @@ pub fn run_blind(base: &SystemConfig, opts: &CampaignOpts, budget: u64) -> Blind
             pool_blocks: opts.pool_blocks,
             ..FuzzOpts::default()
         };
-        run_fuzz(&cfg, &fuzz, opts.cpu_ops)
+        run_fuzz_with(&cfg, &fuzz, opts.cpu_ops, &Instrumentation::off())
     });
     let mut coverage: BTreeMap<String, TransitionCoverage> = BTreeMap::new();
     let mut injected = 0u64;
@@ -614,8 +645,8 @@ pub fn minimize(schedule: &Schedule, mut fails: impl FnMut(&Schedule) -> bool) -
     best
 }
 
-/// Escapes schedule text for embedding in a Rust string literal.
-fn escape_literal(text: &str) -> String {
+/// Escapes text for embedding in a Rust string literal.
+pub fn escape_literal(text: &str) -> String {
     text.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
@@ -680,6 +711,8 @@ pub fn repro_test_source(
          \x20   assert_eq!(out.host_violations, 0, \"host protocol violations\");\n\
          \x20   assert_eq!(out.cpu_data_errors, 0, \"cpu data corruption\");\n\
          \x20   assert!(!out.deadlocked, \"host deadlocked\");\n\
+         \x20   assert_eq!(out.forbidden_data, 0, \"data on an unreadable page (0a)\");\n\
+         \x20   assert_eq!(out.ro_exclusive_data, 0, \"exclusive data on a read-only page (0b)\");\n\
          }}\n",
         kind = failure.kind.tag(),
         n = failure.schedule.steps.len(),

@@ -7,6 +7,9 @@
 //! to invalidations. A safe guard never crashes, never deadlocks the host,
 //! and reports errors to the OS.
 //!
+//! It is the only XGI attacker in the tree: the campaign replays
+//! [`Schedule`]s through it and `xg-check` drives it one step per wake.
+//!
 //! [`FuzzHostCache`] is the control experiment: the same garbage aimed
 //! directly at an *unprotected* host protocol, as a buggy accelerator-side
 //! cache (Figure 2(a)) could do. The strict (unmodified) host counts
@@ -14,11 +17,11 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use xg_mem::{BlockAddr, DataBlock};
+use xg_mem::{BlockAddr, DataBlock, PermissionTable};
 use xg_proto::{
     Ctx, HammerKind, HammerMsg, HomeMap, MesiKind, MesiMsg, Message, XgData, XgiKind, XgiMsg,
 };
-use xg_sim::{Component, NodeId, Report};
+use xg_sim::{CheckDigest, Component, NodeId, Report};
 
 use crate::config::HostProtocol;
 
@@ -33,6 +36,28 @@ pub const FUZZ_KIND_CODES: u8 = 13;
 /// the one response that is inconsistent afterwards — the deterministic
 /// guarantee-2a probe).
 pub const INV_RESPONSE_CODES: u8 = 5;
+
+/// Name of each interface-kind code, in code order (see [`xgi_kind`]).
+pub const FUZZ_KIND_NAMES: [&str; FUZZ_KIND_CODES as usize] = [
+    "GetS", "GetM", "PutS", "PutE", "PutM", "InvAck", "CleanWb", "DirtyWb", "DataS", "DataE",
+    "DataM", "WbAck", "Inv",
+];
+
+/// Name of each invalidation-response code, in code order (see
+/// [`inv_response`]).
+pub const INV_RESPONSE_NAMES: [&str; INV_RESPONSE_CODES as usize] = [
+    "InvAck",
+    "CleanWb",
+    "DirtyWb",
+    "GetM (non-response)",
+    "PutS then DirtyWb (race)",
+];
+
+/// Fill byte of hand-written step payloads (identifies them in traces).
+pub const STEP_FILL: u8 = 0x11;
+
+/// Fill byte of every scripted invalidation-response payload.
+pub const INV_FILL: u8 = 0xA5;
 
 /// One scripted injection: wait `delay` cycles after the previous step,
 /// then send interface kind `kind` at `block`.
@@ -205,86 +230,61 @@ fn random_payload(ctx: &mut Ctx<'_>) -> XgData {
     XgData::from_blocks(blocks)
 }
 
-fn random_xgi_kind(ctx: &mut Ctx<'_>) -> XgiKind {
-    match ctx.rng().gen_range(0..13) {
-        0 => XgiKind::GetS,
-        1 => XgiKind::GetM,
-        2 => XgiKind::PutS,
-        3 => XgiKind::PutE {
-            data: random_payload(ctx),
-        },
-        4 => XgiKind::PutM {
-            data: random_payload(ctx),
-        },
-        5 => XgiKind::InvAck,
-        6 => XgiKind::CleanWb {
-            data: random_payload(ctx),
-        },
-        7 => XgiKind::DirtyWb {
-            data: random_payload(ctx),
-        },
-        // Kinds only the guard may legally send — pure garbage from us.
-        8 => XgiKind::DataS {
-            data: random_payload(ctx),
-        },
-        9 => XgiKind::DataE {
-            data: random_payload(ctx),
-        },
-        10 => XgiKind::DataM {
-            data: random_payload(ctx),
-        },
-        11 => XgiKind::WbAck,
-        _ => XgiKind::Inv,
-    }
-}
-
 /// Deterministic payload for scripted steps: `blocks` copies of `fill`.
 fn scripted_payload(blocks: u8, fill: u8) -> XgData {
     XgData::from_blocks(vec![DataBlock::splat(fill); blocks.clamp(1, 3) as usize])
 }
 
-/// Decodes a scripted step's kind code (same code space as
-/// [`random_xgi_kind`], but with a deterministic payload).
-fn scripted_kind(step: FuzzStep) -> XgiKind {
-    let data = || scripted_payload(step.payload_blocks, step.fill);
-    match step.kind % FUZZ_KIND_CODES {
+/// Decodes an interface-kind code (taken modulo [`FUZZ_KIND_CODES`]).
+/// `payload` is called once, and only for the data-carrying kinds, so a
+/// random caller draws its payload at exactly that point.
+pub fn xgi_kind(code: u8, mut payload: impl FnMut() -> XgData) -> XgiKind {
+    match code % FUZZ_KIND_CODES {
         0 => XgiKind::GetS,
         1 => XgiKind::GetM,
         2 => XgiKind::PutS,
-        3 => XgiKind::PutE { data: data() },
-        4 => XgiKind::PutM { data: data() },
+        3 => XgiKind::PutE { data: payload() },
+        4 => XgiKind::PutM { data: payload() },
         5 => XgiKind::InvAck,
-        6 => XgiKind::CleanWb { data: data() },
-        7 => XgiKind::DirtyWb { data: data() },
-        8 => XgiKind::DataS { data: data() },
-        9 => XgiKind::DataE { data: data() },
-        10 => XgiKind::DataM { data: data() },
+        6 => XgiKind::CleanWb { data: payload() },
+        7 => XgiKind::DirtyWb { data: payload() },
+        // Kinds only the guard may legally send — pure garbage from us.
+        8 => XgiKind::DataS { data: payload() },
+        9 => XgiKind::DataE { data: payload() },
+        10 => XgiKind::DataM { data: payload() },
         11 => XgiKind::WbAck,
         _ => XgiKind::Inv,
     }
 }
 
-/// Decodes a scripted invalidation-response policy into the message
-/// sequence to send (the guard↔accelerator link is ordered, so multi-step
-/// sequences arrive in script order).
-fn scripted_response(policy: InvPolicy) -> Vec<XgiKind> {
-    let data = || scripted_payload(policy.payload_blocks, 0xA5);
-    match policy.kind % INV_RESPONSE_CODES {
+/// Decodes an invalidation-response code (taken modulo
+/// [`INV_RESPONSE_CODES`]) into the message sequence to send. The
+/// guard↔accelerator link is ordered, so multi-message replies arrive in
+/// this order. `payload` is called once per writeback.
+pub fn inv_response(code: u8, mut payload: impl FnMut() -> XgData) -> Vec<XgiKind> {
+    match code % INV_RESPONSE_CODES {
         0 => vec![XgiKind::InvAck],
-        1 => vec![XgiKind::CleanWb { data: data() }],
-        2 => vec![XgiKind::DirtyWb { data: data() }],
+        1 => vec![XgiKind::CleanWb { data: payload() }],
+        2 => vec![XgiKind::DirtyWb { data: payload() }],
+        // Something that is not a response at all.
         3 => vec![XgiKind::GetM],
         // The Put-vs-Inv race, then a writeback where only the trailing
         // InvAck is legal.
-        _ => vec![XgiKind::PutS, XgiKind::DirtyWb { data: data() }],
+        _ => vec![XgiKind::PutS, XgiKind::DirtyWb { data: payload() }],
     }
 }
 
-/// A pathologically buggy accelerator attached to a Crossing Guard.
+/// A pathologically buggy accelerator attached to a Crossing Guard. With
+/// no schedule it draws everything at random; with one it paces itself by
+/// the step delays and cycles the replies; [`FuzzAccel::stepped`] sends
+/// one step per external wake and uses each reply once. It counts the
+/// Guarantee-0 breaches it receives against its guard's page table.
 pub struct FuzzAccel {
     name: String,
     xg: NodeId,
     opts: FuzzOpts,
+    perms: PermissionTable,
+    stepped: bool,
     sent: u64,
     invs_seen: u64,
     inv_responses: u64,
@@ -293,15 +293,25 @@ pub struct FuzzAccel {
     last_inject: u64,
     next_step: usize,
     resp_idx: usize,
+    unscripted: u64,
+    forbidden_data: u64,
+    ro_exclusive_data: u64,
 }
 
 impl FuzzAccel {
-    /// Creates a fuzzer aimed at `xg`.
-    pub fn new(name: impl Into<String>, xg: NodeId, opts: FuzzOpts) -> Self {
+    /// Creates a fuzzer aimed at `xg`, whose guard enforces `perms`.
+    pub fn new(
+        name: impl Into<String>,
+        xg: NodeId,
+        opts: FuzzOpts,
+        perms: PermissionTable,
+    ) -> Self {
         FuzzAccel {
             name: name.into(),
             xg,
             opts,
+            perms,
+            stepped: false,
             sent: 0,
             invs_seen: 0,
             inv_responses: 0,
@@ -310,12 +320,49 @@ impl FuzzAccel {
             last_inject: 0,
             next_step: 0,
             resp_idx: 0,
+            unscripted: 0,
+            forbidden_data: 0,
+            ro_exclusive_data: 0,
+        }
+    }
+
+    /// Creates a stepped fuzzer (the model checker's attacker): each
+    /// external wake sends the next step of `schedule`, each reply is used
+    /// once, and later invalidations stay silent and are counted.
+    pub fn stepped(
+        name: impl Into<String>,
+        xg: NodeId,
+        schedule: Schedule,
+        perms: PermissionTable,
+    ) -> Self {
+        let opts = FuzzOpts {
+            schedule: Some(schedule),
+            ..FuzzOpts::default()
+        };
+        FuzzAccel {
+            stepped: true,
+            ..FuzzAccel::new(name, xg, opts, perms)
         }
     }
 
     /// Messages injected so far.
     pub fn sent(&self) -> u64 {
         self.sent
+    }
+
+    /// Invalidations that found no scripted reply (they stayed silent).
+    pub fn unscripted_invs(&self) -> u64 {
+        self.unscripted
+    }
+
+    /// Grants received on pages it may not read (Guarantee 0a; must be 0).
+    pub fn forbidden_data(&self) -> u64 {
+        self.forbidden_data
+    }
+
+    /// `DataE`/`DataM` received on pages it may not write (0b; must be 0).
+    pub fn ro_exclusive_data(&self) -> u64 {
+        self.ro_exclusive_data
     }
 }
 
@@ -330,93 +377,104 @@ impl Component<Message> for FuzzAccel {
             XgiKind::Inv => {
                 self.invs_seen += 1;
                 if let Some(schedule) = &self.opts.schedule {
-                    // Scripted mode: consult the response script, cycling.
+                    // Scripted mode: a stepped fuzzer uses each reply once,
+                    // a timed one cycles through them.
                     let responses = &schedule.responses;
-                    let policy = if responses.is_empty() {
-                        None
+                    let policy = if self.stepped || responses.is_empty() {
+                        responses.get(self.resp_idx).copied()
                     } else {
                         Some(responses[self.resp_idx % responses.len()])
                     };
                     self.resp_idx += 1;
-                    if let Some(p) = policy {
-                        if p.respond {
+                    match policy {
+                        None => self.unscripted += 1,
+                        Some(p) if p.respond => {
                             self.inv_responses += 1;
-                            for kind in scripted_response(p) {
+                            let data = || scripted_payload(p.payload_blocks, INV_FILL);
+                            for kind in inv_response(p.kind, data) {
                                 ctx.send(self.xg, XgiMsg::new(m.addr, kind).into());
                             }
                         }
+                        Some(_) => {}
                     }
                     return;
                 }
                 if ctx.rng().gen_range(0u32..100) < self.opts.respond_percent {
                     self.inv_responses += 1;
-                    // Respond with a random (often wrong) response kind.
-                    let kind = match ctx.rng().gen_range(0..4) {
-                        0 => XgiKind::InvAck,
-                        1 => XgiKind::CleanWb {
-                            data: random_payload(ctx),
-                        },
-                        2 => XgiKind::DirtyWb {
-                            data: random_payload(ctx),
-                        },
-                        // Or answer with something that is not a response
-                        // at all.
-                        _ => XgiKind::GetM,
-                    };
-                    ctx.send(self.xg, XgiMsg::new(m.addr, kind).into());
+                    // Respond with a random (often wrong) response: the
+                    // first four codes, never the scripted-only race.
+                    let code = ctx.rng().gen_range(0..4);
+                    for kind in inv_response(code, || random_payload(ctx)) {
+                        ctx.send(self.xg, XgiMsg::new(m.addr, kind).into());
+                    }
                 }
                 // Otherwise: silence → the guard's 2c timeout must cover.
             }
             XgiKind::DataS { .. } | XgiKind::DataE { .. } | XgiKind::DataM { .. } => {
                 self.grants_seen += 1;
+                let perm = self.perms.get(m.addr.page());
+                if !perm.allows_read() {
+                    self.forbidden_data += 1;
+                } else if !perm.allows_write() && !matches!(m.kind, XgiKind::DataS { .. }) {
+                    self.ro_exclusive_data += 1;
+                }
             }
             _ => {}
         }
     }
 
     fn wake(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
-        if let Some(schedule) = &self.opts.schedule {
-            // Scripted mode: replay the schedule step by step.
-            let steps = &schedule.steps;
-            let (step, next_delay) = match steps.get(self.next_step) {
-                None => return,
-                Some(&s) => (s, steps.get(self.next_step + 1).map(|n| n.delay.max(1))),
-            };
-            self.next_step += 1;
-            self.sent += 1;
-            let now = ctx.now().as_u64();
-            self.first_inject.get_or_insert(now);
-            self.last_inject = now;
-            ctx.send(
-                self.xg,
-                XgiMsg::new(BlockAddr::new(step.block), scripted_kind(step)).into(),
-            );
-            if let Some(delay) = next_delay {
-                ctx.wake_in(delay, 0);
+        // What to send, and (unless stepped) when to wake next.
+        let (block, kind, next_delay) = match &self.opts.schedule {
+            Some(schedule) => {
+                // Scripted mode: replay the schedule step by step.
+                let Some(&step) = schedule.steps.get(self.next_step) else {
+                    return;
+                };
+                self.next_step += 1;
+                let next = schedule.steps.get(self.next_step);
+                let kind = xgi_kind(step.kind, || {
+                    scripted_payload(step.payload_blocks, step.fill)
+                });
+                let next_delay = next.filter(|_| !self.stepped).map(|n| n.delay.max(1));
+                (step.block, kind, next_delay)
             }
-            return;
-        }
-        if self.sent >= self.opts.messages {
-            return;
-        }
-        let block = if !self.opts.read_only_pages.is_empty() && ctx.rng().gen_range(0..4u32) == 0 {
-            // Spend a quarter of the budget on the read-only windows:
-            // legally taking shared copies of CPU-owned blocks is what
-            // draws host demand (invalidation) traffic through the guard.
-            let pages = &self.opts.read_only_pages;
-            let page = pages[ctx.rng().gen_range(0..pages.len())];
-            page * (xg_mem::PAGE_BYTES / xg_mem::BLOCK_BYTES) + ctx.rng().gen_range(0..4u64)
-        } else {
-            ctx.rng().gen_range(0..self.opts.pool_blocks)
+            None if self.sent >= self.opts.messages => return,
+            None => {
+                let pages = &self.opts.read_only_pages;
+                let block = if !pages.is_empty() && ctx.rng().gen_range(0..4u32) == 0 {
+                    // Spend a quarter of the budget on the read-only
+                    // windows: legally taking shared copies of CPU-owned
+                    // blocks is what draws host demand (invalidation)
+                    // traffic through the guard.
+                    let page = pages[ctx.rng().gen_range(0..pages.len())];
+                    page * (xg_mem::PAGE_BYTES / xg_mem::BLOCK_BYTES) + ctx.rng().gen_range(0..4u64)
+                } else {
+                    ctx.rng().gen_range(0..self.opts.pool_blocks)
+                };
+                let code = ctx.rng().gen_range(0..FUZZ_KIND_CODES);
+                let kind = xgi_kind(code, || random_payload(ctx));
+                let delay = ctx.rng().gen_range(self.opts.gap.0..=self.opts.gap.1);
+                (block, kind, Some(delay))
+            }
         };
-        let kind = random_xgi_kind(ctx);
         ctx.send(self.xg, XgiMsg::new(BlockAddr::new(block), kind).into());
         self.sent += 1;
         let now = ctx.now().as_u64();
         self.first_inject.get_or_insert(now);
         self.last_inject = now;
-        let delay = ctx.rng().gen_range(self.opts.gap.0..=self.opts.gap.1);
-        ctx.wake_in(delay, 0);
+        if let Some(delay) = next_delay {
+            ctx.wake_in(delay, 0);
+        }
+    }
+
+    fn check_state(&self, out: &mut CheckDigest) {
+        // Only the Guarantee-0 counters (nonzero only in violating states)
+        // are digested, so a violating state never aliases a clean one;
+        // script progress is not world state.
+        out.write_str("chaos");
+        out.write_u64(self.forbidden_data);
+        out.write_u64(self.ro_exclusive_data);
     }
 
     fn report(&self, out: &mut Report) {
@@ -427,6 +485,9 @@ impl Component<Message> for FuzzAccel {
         out.add(format!("{n}.grants_seen"), self.grants_seen);
         out.add(format!("{n}.first_inject"), self.first_inject.unwrap_or(0));
         out.add(format!("{n}.last_inject"), self.last_inject);
+        out.add(format!("{n}.unscripted_invs"), self.unscripted);
+        out.add(format!("{n}.forbidden_data"), self.forbidden_data);
+        out.add(format!("{n}.ro_exclusive_data"), self.ro_exclusive_data);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -594,6 +655,8 @@ impl Component<Message> for FuzzHostCache {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use std::collections::BTreeSet;
+    use xg_mem::PagePerm;
 
     #[test]
     fn schedule_text_round_trips() {
@@ -624,29 +687,95 @@ mod tests {
     }
 
     #[test]
-    fn scripted_kind_covers_every_code() {
-        let kinds: Vec<XgiKind> = (0..FUZZ_KIND_CODES)
-            .map(|k| {
-                scripted_kind(FuzzStep {
-                    delay: 1,
-                    block: 0,
-                    kind: k,
-                    payload_blocks: 1,
-                    fill: 0,
-                })
-            })
-            .collect();
-        assert!(matches!(kinds[0], XgiKind::GetS));
-        assert!(matches!(kinds[12], XgiKind::Inv));
-        // All thirteen codes decode to distinct kinds.
-        for (i, a) in kinds.iter().enumerate() {
-            for b in kinds.iter().skip(i + 1) {
-                assert_ne!(
-                    std::mem::discriminant(a),
-                    std::mem::discriminant(b),
-                    "codes decode to duplicate kinds"
-                );
-            }
+    fn each_decoder_maps_every_code_to_a_distinct_kind() {
+        let data = || scripted_payload(1, 0);
+        let kinds: Vec<_> = (0..FUZZ_KIND_CODES).map(|k| xgi_kind(k, data)).collect();
+        let names: BTreeSet<_> = kinds.iter().map(XgiKind::mnemonic).collect();
+        assert_eq!(names.len(), kinds.len(), "two codes decode to one kind");
+        assert!(kinds
+            .iter()
+            .zip(FUZZ_KIND_NAMES)
+            .all(|(k, n)| k.mnemonic() == n));
+        let reply = |c| format!("{:?}", inv_response(c, data));
+        let replies: BTreeSet<_> = (0..INV_RESPONSE_CODES).map(reply).collect();
+        assert_eq!(replies.len(), usize::from(INV_RESPONSE_CODES));
+    }
+
+    const GUARD: NodeId = NodeId::from_index(1);
+
+    /// Wakes `fuzzer` (node 0) `wakes` times and has its guard (node 1, an
+    /// inert OS sink) send it `msgs`, then hands the fuzzer to `check`.
+    fn run(fuzzer: FuzzAccel, wakes: u64, msgs: &[XgiMsg], check: impl FnOnce(&FuzzAccel)) {
+        let mut b = xg_proto::SimBuilder::new(1);
+        let fz = b.add(Box::new(fuzzer));
+        let os = xg_core::Os::new("xg", xg_core::OsPolicy::ReportOnly);
+        assert_eq!(b.add(Box::new(os)), GUARD);
+        b.default_link(xg_sim::Link::ordered(1, 1));
+        let mut sim = b.build();
+        for i in 0..wakes {
+            sim.post_wake(fz, 1 + i, 0);
         }
+        for m in msgs {
+            sim.post(GUARD, fz, m.clone().into());
+        }
+        assert!(sim.run_to_quiescence(10_000).quiescent);
+        check(sim.get::<FuzzAccel>(fz).unwrap());
+    }
+
+    fn all_rw() -> PermissionTable {
+        PermissionTable::with_default(PagePerm::ReadWrite)
+    }
+
+    #[test]
+    fn scripted_drivers_use_replies_once_when_stepped_and_cycle_when_timed() {
+        // Two steps; replies "InvAck, then silence"; three invalidations.
+        let text = "xg-schedule v1\ns 5 1 0 1 17\ns 5 1 0 1 17\nr 1 0 1\nr 0 0 1\n";
+        let sched = Schedule::from_text(text).unwrap();
+        let invs = vec![XgiMsg::new(BlockAddr::new(1), XgiKind::Inv); 3];
+        let stepped = || FuzzAccel::stepped("c", GUARD, sched.clone(), all_rw());
+        run(stepped(), 1, &invs, |fz| {
+            assert_eq!(fz.sent(), 1, "one wake, one step");
+            assert_eq!(fz.inv_responses, 1, "InvAck once, then silence");
+            assert_eq!(fz.unscripted_invs(), 1, "the third Inv has no reply");
+        });
+        run(stepped(), 3, &[], |fz| assert_eq!(fz.sent(), 2));
+        let timed = |responses| {
+            let schedule = Some(Schedule {
+                responses,
+                ..sched.clone()
+            });
+            let opts = FuzzOpts {
+                schedule,
+                ..FuzzOpts::default()
+            };
+            FuzzAccel::new("f", GUARD, opts, all_rw())
+        };
+        run(timed(sched.responses.clone()), 1, &invs, |fz| {
+            assert_eq!(fz.sent(), 2, "one wake sends the whole schedule");
+            assert_eq!(fz.inv_responses, 2, "InvAck, silence, InvAck again");
+            assert_eq!(fz.unscripted_invs(), 0);
+        });
+        // An empty reply list is permanent silence.
+        run(timed(Vec::new()), 1, &invs, |fz| {
+            assert_eq!(fz.inv_responses, 0);
+            assert_eq!(fz.unscripted_invs(), 3);
+        });
+    }
+
+    #[test]
+    fn guarantee0_breaches_are_judged_by_page_permission() {
+        // Blocks 0, 64 and 128 sit on read-write, read-only and no-access
+        // pages. Codes 8, 9 and 10 are DataS, DataE and DataM.
+        let mut perms = all_rw();
+        perms.set(BlockAddr::new(64).page(), PagePerm::Read);
+        perms.set(BlockAddr::new(128).page(), PagePerm::None);
+        let grants = [(0, 10), (64, 8), (64, 9), (64, 10), (128, 8), (128, 9)];
+        let data = || scripted_payload(1, 0);
+        let grants = grants.map(|(b, c)| XgiMsg::new(BlockAddr::new(b), xgi_kind(c, data)));
+        let fuzzer = FuzzAccel::stepped("c", GUARD, Schedule::default(), perms);
+        run(fuzzer, 0, &grants, |fz| {
+            assert_eq!(fz.forbidden_data(), 2, "0a: any grant, unreadable page");
+            assert_eq!(fz.ro_exclusive_data(), 2, "0b: DataE/DataM, read-only page");
+        });
     }
 }

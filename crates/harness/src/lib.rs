@@ -11,9 +11,10 @@
 //!   rapid loads and stores to a small address pool with random message
 //!   latencies, single-writer-per-word value discipline, per-reader
 //!   monotonicity checks, and state/event coverage counting.
-//! * [`FuzzAccel`] — the §4.2-style fuzzer: bombards the Crossing Guard
-//!   interface with random (including malformed) messages and responds to
-//!   invalidations randomly or not at all.
+//! * [`FuzzAccel`] — the §4.2-style fuzzer and the one adversarial
+//!   accelerator: random or scripted (including malformed) messages,
+//!   random, wrong or absent invalidation replies, and a count of every
+//!   Guarantee-0 breach it receives. `xg-check` drives it one step per wake.
 //! * [`FuzzHostCache`] — the same bombardment aimed directly at the host
 //!   protocol, for the unsafe accelerator-side baseline.
 //! * [`campaign`] — the coverage-guided adversarial campaign: evolves
@@ -43,8 +44,8 @@ pub mod tester;
 pub mod workloads;
 
 pub use campaign::{
-    ddmin_vec, guarantee_probe, minimize, run_blind, run_campaign, run_schedule, BlindOutcome,
-    CampaignFailure, CampaignOpts, CampaignOutcome, CorpusEntry, FailureKind,
+    ddmin_vec, guarantee_probe, minimize, run_blind, run_campaign, run_schedule, run_schedule_with,
+    BlindOutcome, CampaignFailure, CampaignOpts, CampaignOutcome, CorpusEntry, FailureKind,
 };
 pub use config::{AccelOrg, AccelSlot, HostProtocol, SystemConfig};
 pub use fuzz::{FuzzAccel, FuzzHostCache, FuzzOpts, Schedule};

@@ -287,6 +287,10 @@ pub struct FuzzOutcome {
     pub cpu_ops_completed: u64,
     /// CPU-side value-check failures.
     pub cpu_data_errors: u64,
+    /// Fuzz-accelerator grants on pages it may not read (0a; must be 0).
+    pub forbidden_data: u64,
+    /// Fuzz-accelerator `DataE`/`DataM` on pages it may not write (0b).
+    pub ro_exclusive_data: u64,
     /// Post-mortem trace dump from a deterministic replay of a run that
     /// flagged anything (corruption, host violations, guard errors, or
     /// deadlock): the last events touching each offending address, across
@@ -434,6 +438,8 @@ pub fn run_fuzz_with(
         deadlocked: out.stalled || !shared.done() || hung_ops,
         cpu_ops_completed: shared.completed(),
         cpu_data_errors: shared.data_errors(),
+        forbidden_data: report.sum_suffix("fuzz_accel.forbidden_data"),
+        ro_exclusive_data: report.sum_suffix("fuzz_accel.ro_exclusive_data"),
         post_mortem,
         timeline,
         report,

@@ -444,6 +444,7 @@ pub fn build_system(
                     format!("{prefix}fuzz_accel"),
                     *xg,
                     opts,
+                    xg_config(*variant, slot).perms,
                 )));
                 assert_eq!(fz, *fuzzer);
                 inst.fuzzer = Some(fz);

@@ -44,6 +44,7 @@ fn tiny_campaign_runs_clean_and_builds_a_corpus() {
     );
     assert_eq!(out.report.fuzz_get("campaign_violations"), 0);
     assert_eq!(out.report.fuzz_get("campaign_deadlocks"), 0);
+    assert_eq!(out.report.fuzz_get("campaign_guarantee0"), 0);
 
     // And it survives the JSON round trip (what CI artifacts store).
     let back = xg_sim::Report::from_json(&out.report.to_json()).unwrap();
@@ -93,6 +94,7 @@ fn two_guard_campaign_contains_the_blast() {
     assert_eq!(out.report.fuzz_get("campaign_runs"), out.runs);
     assert_eq!(out.report.fuzz_get("campaign_violations"), 0);
     assert_eq!(out.report.fuzz_get("campaign_deadlocks"), 0);
+    assert_eq!(out.report.fuzz_get("campaign_guarantee0"), 0);
 }
 
 #[test]
